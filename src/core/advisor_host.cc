@@ -10,13 +10,13 @@
 /// "table" to a replicated view over {table__base, table__<target>}.
 /// DemoteReplicatedView reverses every step.
 
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "common/bytes.h"
+#include "common/env.h"
 #include "core/global_system.h"
 #include "net/retry.h"
 #include "source/fragment.h"
@@ -25,38 +25,12 @@
 
 namespace gisql {
 
-namespace {
-
-/// Mediator→source control-plane call under the system retry policy.
-/// (Local twin of the helper in global_system.cc — both are file-local
-/// by design; the retry plumbing is not part of GlobalSystem's API.)
-Result<std::vector<uint8_t>> RetriedCall(SimNetwork& net,
-                                         const RetryPolicy& policy,
-                                         const std::string& to,
-                                         wire::Opcode op,
-                                         const std::vector<uint8_t>& req) {
-  RetryResult r = CallWithRetry(net, policy, GlobalSystem::kMediatorHost, to,
-                                static_cast<uint8_t>(op), req);
-  if (!r.ok()) return r.status;
-  return std::move(r.payload);
-}
-
-bool EnvTruthy(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return false;
-  const std::string s(v);
-  return s == "1" || s == "true" || s == "TRUE" || s == "on" || s == "ON" ||
-         s == "yes" || s == "YES";
-}
-
-}  // namespace
-
 void GlobalSystem::ConfigureAdvisor() {
   AdvisorConfig c = AdvisorConfig::FromOptions(options_);
   // The kill switch must work even for programs that build their
   // PlannerOptions programmatically (never calling ApplyEnv), so it is
   // honored here too, not just in options parsing.
-  if (EnvTruthy("GISQL_ADVISOR_KILL")) c.enabled = false;
+  if (EnvValue<bool>("GISQL_ADVISOR_KILL").value_or(false)) c.enabled = false;
   if (advisor_ == nullptr) {
     advisor_ = std::make_unique<Advisor>(c, this, &query_log_, &health_,
                                          &slo_, &governor_, &catalog_);
@@ -95,8 +69,7 @@ Result<std::string> GlobalSystem::MaterializeReplica(
   frag.table = owner_exported;
   GISQL_ASSIGN_OR_RETURN(
       std::vector<uint8_t> rows_payload,
-      RetriedCall(network_, retry_policy_, owner_source,
-                  wire::Opcode::kExecuteFragment,
+      RetriedCall(owner_source, wire::Opcode::kExecuteFragment,
                   wire::SerializeFragment(frag)));
   ByteReader rows_reader(rows_payload);
   GISQL_ASSIGN_OR_RETURN(RowBatch rows, wire::ReadBatch(&rows_reader));

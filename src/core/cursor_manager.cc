@@ -100,7 +100,7 @@ RowBatch CursorManager::Snapshot() const {
         Value::Int(e.rows),
         Value::Double(e.opened_ms),
         Value::Double(e.lease_deadline_ms),
-        Value::Double(e.elapsed_ms),
+        Value::Double(e.usage.elapsed_ms),
         Value::Int(e.grant.used()),
     });
   }

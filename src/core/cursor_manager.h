@@ -24,6 +24,7 @@
 #include <string>
 
 #include "exec/streaming.h"
+#include "obs/query_context.h"
 #include "sched/memory_budget.h"
 #include "types/row.h"
 
@@ -53,28 +54,15 @@ class CursorManager {
     /// Lease duration; each fetch renews the deadline by this much.
     double lease_ms = 0.0;
     double lease_deadline_ms = 0.0;
-    /// Simulated ms spent on this cursor so far (open + fetches +
-    /// close), plus the traffic behind them.
-    double elapsed_ms = 0.0;
-    int64_t bytes_sent = 0;
-    int64_t bytes_received = 0;
-    int64_t messages = 0;
-    int64_t retries = 0;
+    /// What the cursor consumed so far (open + fetches + close). Each
+    /// operation is metered on its own — cursor lifetimes interleave
+    /// with other queries — and added here; mem_bytes is the peak
+    /// booked grant (streaming re-grants per chunk, so end-of-life
+    /// used() would understate).
+    Usage usage;
     /// Attribution carried from OpenCursor to the finalize-time
-    /// query-log entry and tenant charge (obs/query_context.h).
-    std::string tenant = "default";
-    int priority = 1;
-    double arrival_ms = 0.0;
-    double admission_wait_ms = 0.0;
-    /// Buffer-pool deltas accumulated per cursor operation (cursor
-    /// lifetimes interleave with other queries, so the per-statement
-    /// bracketing must accumulate here instead).
-    int64_t page_hits = 0;
-    int64_t page_misses = 0;
-    double disk_ms = 0.0;
-    /// Peak booked grant bytes across the cursor's life (streaming
-    /// re-grants per chunk, so end-of-life used() would understate).
-    int64_t mem_peak_bytes = 0;
+    /// query-log entry and tenant charge.
+    QueryContext qctx;
 
     std::unique_ptr<RowStream> stream;
     /// Keeps the plan nodes the stream references alive.

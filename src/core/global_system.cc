@@ -1,6 +1,7 @@
 #include "core/global_system.h"
 
 #include <algorithm>
+#include <initializer_list>
 #include <set>
 #include <utility>
 
@@ -19,43 +20,14 @@
 
 namespace gisql {
 
-namespace {
-
-/// Mediator→source control-plane call under the system retry policy.
-Result<std::vector<uint8_t>> RetriedCall(SimNetwork& net,
-                                         const RetryPolicy& policy,
-                                         const std::string& to,
-                                         wire::Opcode op,
-                                         const std::vector<uint8_t>& req) {
-  RetryResult r = CallWithRetry(net, policy, GlobalSystem::kMediatorHost, to,
-                                static_cast<uint8_t>(op), req);
-  if (!r.ok()) return r.status;
-  return std::move(r.payload);
-}
-
-}  // namespace
-
-GlobalSystem::GlobalSystem(PlannerOptions options)
-    : options_(options) {
-  governor_.Configure(options_);
+GlobalSystem::GlobalSystem(PlannerOptions options) {
   network_.set_rpc_observer(&health_);
   // Every RPC outcome the health tracker ingests also feeds the
   // governor's per-source circuit breakers.
   health_.set_outcome_listener(&governor_.breakers());
-  tenants_.set_max_tracked(options_.tenant_max_tracked);
-  slo_.Configure(options_.slo_fast_window_ms, options_.slo_slow_window_ms,
-                 options_.slo_burn_alert);
-  flight_.Configure(
-      options_.flight_ring > 0 ? static_cast<size_t>(options_.flight_ring) : 0,
-      options_.flight_max_incidents > 0
-          ? static_cast<size_t>(options_.flight_max_incidents)
-          : 0,
-      options_.flight_cooldown_ms, options_.flight_shed_spike,
-      options_.flight_shed_window_ms);
-  flight_.set_enabled(options_.flight_recorder);
   flight_.SetSystemSnapshotFn(
       [this](double now_ms) { return SystemStateJson(now_ms); });
-  ConfigureAdvisor();
+  set_options(options);
   system_catalog_ = std::make_unique<SystemCatalog>(
       &health_, &metrics_, &network_.metrics(), &query_log_, &catalog_,
       &governor_, &cursors_, &sources_, &txns_, &tenants_, &slo_, &flight_,
@@ -112,16 +84,14 @@ Status GlobalSystem::ImportTable(const std::string& source_name,
   req.PutString(exported_name);
   GISQL_ASSIGN_OR_RETURN(
       std::vector<uint8_t> schema_payload,
-      RetriedCall(network_, retry_policy_, source_name,
-                  wire::Opcode::kGetSchema, req.data()));
+      RetriedCall(source_name, wire::Opcode::kGetSchema, req.data()));
   ByteReader schema_reader(schema_payload);
   GISQL_ASSIGN_OR_RETURN(Schema schema, wire::ReadSchema(&schema_reader));
 
   // Statistics over the wire.
   GISQL_ASSIGN_OR_RETURN(
       std::vector<uint8_t> stats_payload,
-      RetriedCall(network_, retry_policy_, source_name,
-                  wire::Opcode::kGetStats, req.data()));
+      RetriedCall(source_name, wire::Opcode::kGetStats, req.data()));
   ByteReader stats_reader(stats_payload);
   GISQL_ASSIGN_OR_RETURN(TableStats stats,
                          wire::ReadTableStats(&stats_reader));
@@ -139,8 +109,7 @@ Status GlobalSystem::ImportTable(const std::string& source_name,
 Status GlobalSystem::ImportSource(const std::string& source_name) {
   GISQL_ASSIGN_OR_RETURN(
       std::vector<uint8_t> payload,
-      RetriedCall(network_, retry_policy_, source_name,
-                  wire::Opcode::kListTables, {}));
+      RetriedCall(source_name, wire::Opcode::kListTables, {}));
   ByteReader reader(payload);
   GISQL_ASSIGN_OR_RETURN(uint64_t n, reader.GetVarint());
   for (uint64_t i = 0; i < n; ++i) {
@@ -161,8 +130,7 @@ Status GlobalSystem::RefreshStats(const std::string& global_name) {
   req.PutString(mapping->exported_name);
   GISQL_ASSIGN_OR_RETURN(
       std::vector<uint8_t> payload,
-      RetriedCall(network_, retry_policy_, mapping->source_name,
-                  wire::Opcode::kGetStats, req.data()));
+      RetriedCall(mapping->source_name, wire::Opcode::kGetStats, req.data()));
   ByteReader reader(payload);
   GISQL_ASSIGN_OR_RETURN(TableStats stats, wire::ReadTableStats(&reader));
   // Fresh statistics signal the source's data may have changed.
@@ -204,49 +172,19 @@ Status GlobalSystem::ExecuteAtomically(
   // interactive API: a TransactionManager id (locks at the sources,
   // a gis.transactions row) and a commit timestamp stamping the rows.
   TxnInfo& t = txns_.Begin(governor_.now_ms());
-  const uint64_t numeric_id = t.id;
-  const uint64_t snapshot_ts = t.snapshot_ts;
-  const std::string txn_id = "gtxn-" + std::to_string(numeric_id);
-
-  // Every 2PC round retries under the system policy; the participant
-  // side dedups (prepare by statement seq, commit by txn id), so
-  // at-least-once delivery is safe.
-  auto call = [&](const std::string& source, wire::Opcode op,
-                  const std::string& sql, uint64_t stmt_seq,
-                  uint64_t commit_ts, uint64_t watermark,
-                  std::vector<uint8_t>* payload) -> Status {
-    ByteWriter req;
-    req.PutString(txn_id);
-    if (op == wire::Opcode::kTxnPrepare) {
-      req.PutVarint(stmt_seq);
-      req.PutString(sql);
-      req.PutVarint(numeric_id);
-      req.PutVarint(snapshot_ts);
-    } else if (op == wire::Opcode::kTxnCommit) {
-      req.PutVarint(commit_ts);
-      req.PutVarint(watermark);
-    }
-    RetryResult r =
-        CallWithRetry(network_, retry_policy_, kMediatorHost, source,
-                      static_cast<uint8_t>(op), req.data(), stmt_seq);
-    if (payload != nullptr && r.ok()) *payload = std::move(r.payload);
-    return r.status;
-  };
 
   // Phase 1: prepare everywhere; on any failure, abort everyone we
   // reached (abort is idempotent, so aborting non-prepared hosts is
   // harmless).
   std::set<std::string> participants;
   for (const auto& w : writes) participants.insert(w.source);
-  for (size_t i = 0; i < writes.size(); ++i) {
-    const auto& w = writes[i];
-    std::vector<uint8_t> payload;
-    Status st = call(w.source, wire::Opcode::kTxnPrepare, w.sql, i, 0, 0,
-                     &payload);
-    if (st.ok() && !payload.empty()) {
+  for (const auto& w : writes) {
+    RetryResult r = Prepare(t, w.source, w.sql);
+    Status st = r.status;
+    if (st.ok() && !r.payload.empty()) {
       // Lock verdict in the response trailer: a one-shot transaction
       // has nothing to wait for, so a conflict aborts it outright.
-      ByteReader verdict(payload);
+      ByteReader verdict(r.payload);
       auto flag = verdict.GetU8();
       if (flag.ok() && *flag != 0) {
         st = Status::Overloaded("row or table locks are held by a "
@@ -254,12 +192,8 @@ Status GlobalSystem::ExecuteAtomically(
       }
     }
     if (!st.ok()) {
-      for (const auto& p : participants) {
-        (void)call(p, wire::Opcode::kTxnAbort, "", 0, 0, 0, nullptr);
-      }
-      txns_.MarkAborted(numeric_id,
-                        "prepare failed at '" + w.source + "'",
-                        governor_.now_ms());
+      AbortAtParticipants(t.id, participants,
+                          "prepare failed at '" + w.source + "'");
       return Status(st.code(),
                     "global transaction aborted: prepare failed at '" +
                         w.source + "': " + st.message());
@@ -267,31 +201,8 @@ Status GlobalSystem::ExecuteAtomically(
     t.statements += 1;
     t.participants.insert(w.source);
   }
-
   // Phase 2: commit. Failures here leave the classic in-doubt state.
-  // The commit timestamp is allocated (and the transaction retired)
-  // before delivery so the watermark reflects the remaining readers.
-  const uint64_t commit_ts = txns_.AllocateCommitTs();
-  txns_.MarkCommitted(numeric_id, commit_ts, governor_.now_ms());
-  const uint64_t watermark = options_.txn_gc ? txns_.Watermark() : 0;
-  std::string in_doubt;
-  for (const auto& p : participants) {
-    Status st = call(p, wire::Opcode::kTxnCommit, "", 0, commit_ts,
-                     watermark, nullptr);
-    if (!st.ok()) {
-      if (!in_doubt.empty()) in_doubt += ", ";
-      in_doubt += "'" + p + "' (" + st.message() + ")";
-    }
-    if (cache_) cache_->InvalidateSource(p);
-  }
-  if (!in_doubt.empty()) {
-    return Status::Internal(
-        "global transaction ", txn_id,
-        " is in doubt: commit could not be delivered to ", in_doubt,
-        "; staged rows remain there until the source is reachable and "
-        "the commit is re-sent or aborted");
-  }
-  return Status::OK();
+  return CommitAtParticipants(t.id, std::move(participants));
 }
 
 Result<uint64_t> GlobalSystem::BeginTransaction() {
@@ -307,45 +218,47 @@ Result<uint64_t> GlobalSystem::BeginTransaction() {
 Result<QueryResult> GlobalSystem::QueryInTxn(uint64_t txn_id,
                                              const std::string& sql) {
   GISQL_ASSIGN_OR_RETURN(TxnInfo * t, txns_.GetActive(txn_id));
-  const uint64_t snapshot_ts = t->snapshot_ts;
   MemoryGrant grant = governor_.memory().NewGrant();
   // Transactional statements are interactive-session work: default
-  // tenant, closed-loop arrival at the current virtual clock.
-  QueryContext qctx;
-  qctx.arrival_ms = governor_.now_ms();
-  qctx.start_ms = qctx.arrival_ms;
+  // tenant, closed-loop arrival at the current virtual clock, no
+  // admission gate.
+  const QueryContext qctx = Arrive(SubmitOptions());
   Result<QueryResult> result =
-      RunStatement(sql, &grant, qctx, 0.0, snapshot_ts, txn_id);
+      RunStatement(sql, &grant, qctx, t->snapshot_ts, txn_id);
   if (result.ok()) {
-    governor_.AdvanceTo(governor_.now_ms() + result->metrics.elapsed_ms);
+    governor_.AdvanceTo(qctx.start_ms + result->metrics.elapsed_ms);
     t->statements += 1;
   }
   return result;
 }
 
+RetryResult GlobalSystem::Prepare(const TxnInfo& t, const std::string& source,
+                                  const std::string& sql) {
+  const uint64_t seq = static_cast<uint64_t>(t.statements);
+  ByteWriter req;
+  req.PutString("gtxn-" + std::to_string(t.id));
+  req.PutVarint(seq);
+  req.PutString(sql);
+  req.PutVarint(t.id);
+  req.PutVarint(t.snapshot_ts);
+  return CallWithRetry(network_, retry_policy_, kMediatorHost, source,
+                       static_cast<uint8_t>(wire::Opcode::kTxnPrepare),
+                       req.data(), seq);
+}
+
 Status GlobalSystem::TxnWrite(uint64_t txn_id, const std::string& source,
                               const std::string& sql) {
   GISQL_ASSIGN_OR_RETURN(TxnInfo * t, txns_.GetActive(txn_id));
-  const std::string wire_id = "gtxn-" + std::to_string(t->id);
 
   for (int attempt = 0;; ++attempt) {
-    ByteWriter req;
-    req.PutString(wire_id);
-    req.PutVarint(static_cast<uint64_t>(t->statements));
-    req.PutString(sql);
-    req.PutVarint(t->id);
-    req.PutVarint(t->snapshot_ts);
-    RetryResult r = CallWithRetry(
-        network_, retry_policy_, kMediatorHost, source,
-        static_cast<uint8_t>(wire::Opcode::kTxnPrepare), req.data(),
-        static_cast<uint64_t>(t->statements));
+    RetryResult r = Prepare(*t, source, sql);
     if (!r.ok()) {
       // A transport failure leaves the transaction active (the caller
       // may retry the statement); an application error — bad SQL, a
       // write-write conflict under first-committer-wins — aborts it,
       // releasing locks everywhere.
       if (!IsRetryableTransport(r.status)) {
-        AbortAtParticipants(*t, r.status.message());
+        AbortAtParticipants(t->id, t->participants, r.status.message());
       }
       return r.status;
     }
@@ -400,7 +313,7 @@ Status GlobalSystem::TxnWrite(uint64_t txn_id, const std::string& source,
                                 "' on locks held by transaction(s) ", who);
     }
     if (victim == t->id) {
-      AbortAtParticipants(*t, "deadlock victim");
+      AbortAtParticipants(t->id, t->participants, "deadlock victim");
       return Status::ExecutionError(
           "deadlock: transaction ", txn_id,
           " chosen as victim (youngest on the cycle) and aborted");
@@ -409,7 +322,8 @@ Status GlobalSystem::TxnWrite(uint64_t txn_id, const std::string& source,
     // retry this statement against the freed locks.
     auto victim_or = txns_.GetActive(victim);
     if (victim_or.ok()) {
-      AbortAtParticipants(**victim_or, "deadlock victim");
+      AbortAtParticipants(victim, (*victim_or)->participants,
+                          "deadlock victim");
     }
     txns_.ClearWaits(t->id);
     if (attempt + 1 >= options_.txn_max_prepare_retries) {
@@ -422,11 +336,15 @@ Status GlobalSystem::TxnWrite(uint64_t txn_id, const std::string& source,
 
 Status GlobalSystem::CommitTransaction(uint64_t txn_id) {
   GISQL_ASSIGN_OR_RETURN(TxnInfo * t, txns_.GetActive(txn_id));
-  const std::string wire_id = "gtxn-" + std::to_string(t->id);
-  const std::set<std::string> participants = t->participants;
+  return CommitAtParticipants(txn_id, t->participants);
+}
+
+Status GlobalSystem::CommitAtParticipants(
+    uint64_t txn_id, std::set<std::string> participants) {
   // Retire the transaction before computing the watermark so its own
   // snapshot no longer holds GC back; delivery failures below cannot
   // un-commit it (presumed commit — the classic in-doubt state).
+  const std::string wire_id = "gtxn-" + std::to_string(txn_id);
   const uint64_t commit_ts = txns_.AllocateCommitTs();
   txns_.MarkCommitted(txn_id, commit_ts, governor_.now_ms());
   const uint64_t watermark = options_.txn_gc ? txns_.Watermark() : 0;
@@ -461,14 +379,16 @@ Status GlobalSystem::CommitTransaction(uint64_t txn_id) {
 Status GlobalSystem::AbortTransaction(uint64_t txn_id,
                                       const std::string& reason) {
   GISQL_ASSIGN_OR_RETURN(TxnInfo * t, txns_.GetActive(txn_id));
-  AbortAtParticipants(*t, reason.empty() ? "aborted by client" : reason);
+  AbortAtParticipants(txn_id, t->participants,
+                      reason.empty() ? "aborted by client" : reason);
   return Status::OK();
 }
 
-void GlobalSystem::AbortAtParticipants(TxnInfo& t,
-                                       const std::string& reason) {
-  const std::string wire_id = "gtxn-" + std::to_string(t.id);
-  for (const auto& p : t.participants) {
+void GlobalSystem::AbortAtParticipants(
+    uint64_t txn_id, const std::set<std::string>& participants,
+    const std::string& reason) {
+  const std::string wire_id = "gtxn-" + std::to_string(txn_id);
+  for (const auto& p : participants) {
     ByteWriter req;
     req.PutString(wire_id);
     // Best effort: abort is idempotent and a source that missed it
@@ -477,8 +397,39 @@ void GlobalSystem::AbortAtParticipants(TxnInfo& t,
                         static_cast<uint8_t>(wire::Opcode::kTxnAbort),
                         req.data());
   }
-  txns_.MarkAborted(t.id, reason, governor_.now_ms());
+  txns_.MarkAborted(txn_id, reason, governor_.now_ms());
 }
+
+namespace {
+
+/// One labeled series of ExportPrometheus: its name, type, and how a
+/// row renders as the sample value.
+template <typename Row>
+struct Series {
+  const char* name;
+  const char* type;
+  std::string (*value)(const Row&);
+};
+
+/// Appends each series — a `# TYPE` line, then one sample per row
+/// labeled `label="<row.*label_of>"` — with every label value escaped
+/// (source, tenant, and objective names are all caller-controlled
+/// strings). An empty row set emits nothing.
+template <typename Row>
+void AppendLabeled(std::string& out, const std::vector<Row>& rows,
+                   const char* label, std::string Row::*label_of,
+                   std::initializer_list<Series<Row>> series) {
+  if (rows.empty()) return;
+  for (const Series<Row>& s : series) {
+    out += std::string("# TYPE ") + s.name + " " + s.type + "\n";
+    for (const Row& r : rows) {
+      out += std::string(s.name) + "{" + label + "=\"" +
+             EscapeLabelValue(r.*label_of) + "\"} " + s.value(r) + "\n";
+    }
+  }
+}
+
+}  // namespace
 
 std::string GlobalSystem::ExportPrometheus() const {
   // Two registries under distinct prefixes (their metric names overlap
@@ -487,117 +438,144 @@ std::string GlobalSystem::ExportPrometheus() const {
   std::string out = metrics_.ExportPrometheus("gisql");
   out += network_.metrics().ExportPrometheus("gisql_net");
 
-  const auto sources = health_.Snapshot();
-  auto series = [&out, &sources](const std::string& name, const char* type,
-                                 auto value_of) {
-    if (sources.empty()) return;
-    out += "# TYPE " + name + " " + type + "\n";
-    for (const auto& s : sources) {
-      out += name + "{source=\"" + s.source + "\"} " + value_of(s) + "\n";
-    }
-  };
-  series("gisql_source_state", "gauge", [](const SourceHealthSnapshot& s) {
-    return std::to_string(static_cast<int>(s.state));
-  });
-  series("gisql_source_requests_total", "counter",
-         [](const SourceHealthSnapshot& s) {
-           return std::to_string(s.requests);
-         });
-  series("gisql_source_errors_total", "counter",
-         [](const SourceHealthSnapshot& s) {
-           return std::to_string(s.errors);
-         });
-  series("gisql_source_retries_total", "counter",
-         [](const SourceHealthSnapshot& s) {
-           return std::to_string(s.retries);
-         });
-  series("gisql_source_ewma_latency_ms", "gauge",
-         [](const SourceHealthSnapshot& s) {
-           return std::to_string(s.ewma_ms);
-         });
-  series("gisql_source_p95_latency_ms", "gauge",
-         [](const SourceHealthSnapshot& s) {
-           return std::to_string(s.p95_ms);
-         });
+  using Health = SourceHealthSnapshot;
+  AppendLabeled<Health>(
+      out, health_.Snapshot(), "source", &Health::source,
+      {{"gisql_source_state", "gauge",
+        [](const Health& s) {
+          return std::to_string(static_cast<int>(s.state));
+        }},
+       {"gisql_source_requests_total", "counter",
+        [](const Health& s) { return std::to_string(s.requests); }},
+       {"gisql_source_errors_total", "counter",
+        [](const Health& s) { return std::to_string(s.errors); }},
+       {"gisql_source_retries_total", "counter",
+        [](const Health& s) { return std::to_string(s.retries); }},
+       {"gisql_source_ewma_latency_ms", "gauge",
+        [](const Health& s) { return std::to_string(s.ewma_ms); }},
+       {"gisql_source_p95_latency_ms", "gauge",
+        [](const Health& s) { return std::to_string(s.p95_ms); }}});
 
+  auto single = [&out](const std::string& name, const char* type,
+                       auto value) {
+    out += "# TYPE " + name + " " + type + "\n";
+    out += name + " " + std::to_string(value) + "\n";
+  };
   // Resource-governor series (admission.* counters/histogram already
   // export via the mediator registry above).
   const GovernorSnapshot g = governor_.Snapshot();
-  auto single = [&out](const std::string& name, const char* type,
-                       const std::string& value) {
-    out += "# TYPE " + name + " " + type + "\n";
-    out += name + " " + value + "\n";
-  };
-  single("gisql_admission_in_flight", "gauge",
-         std::to_string(g.admission.in_flight));
+  single("gisql_admission_in_flight", "gauge", g.admission.in_flight);
   single("gisql_admission_shed_queue_full_total", "counter",
-         std::to_string(g.admission.shed_queue_full));
+         g.admission.shed_queue_full);
   single("gisql_admission_shed_deadline_total", "counter",
-         std::to_string(g.admission.shed_deadline));
+         g.admission.shed_deadline);
   single("gisql_admission_shed_memory_budget_total", "counter",
-         std::to_string(g.shed_memory_budget));
-  single("gisql_memory_peak_bytes", "gauge",
-         std::to_string(g.mem_peak_bytes));
-  single("gisql_breakers_open", "gauge", std::to_string(g.breakers_open));
-  single("gisql_breaker_transitions_total", "counter",
-         std::to_string(g.breaker_transitions));
+         g.shed_memory_budget);
+  single("gisql_memory_peak_bytes", "gauge", g.mem_peak_bytes);
+  single("gisql_breakers_open", "gauge", g.breakers_open);
+  single("gisql_breaker_transitions_total", "counter", g.breaker_transitions);
 
   // Self-driving advisor series.
   const AdvisorCounters ac = advisor_->counters();
-  single("gisql_advisor_ticks_total", "counter", std::to_string(ac.ticks));
-  single("gisql_advisor_decisions_total", "counter",
-         std::to_string(ac.decisions));
+  single("gisql_advisor_ticks_total", "counter", ac.ticks);
+  single("gisql_advisor_decisions_total", "counter", ac.decisions);
   single("gisql_advisor_materializations_total", "counter",
-         std::to_string(ac.materializations));
-  single("gisql_advisor_evictions_total", "counter",
-         std::to_string(ac.evictions));
-  single("gisql_advisor_placements_total", "counter",
-         std::to_string(ac.placements));
-  single("gisql_advisor_tunings_total", "counter",
-         std::to_string(ac.tunings));
-  single("gisql_advisor_failures_total", "counter",
-         std::to_string(ac.failures));
+         ac.materializations);
+  single("gisql_advisor_evictions_total", "counter", ac.evictions);
+  single("gisql_advisor_placements_total", "counter", ac.placements);
+  single("gisql_advisor_tunings_total", "counter", ac.tunings);
+  single("gisql_advisor_failures_total", "counter", ac.failures);
 
   // Transaction-manager series: active gauge, lifecycle counters, and
   // the MVCC GC watermark position.
   const TxnCounters& tc = txns_.counters();
-  single("gisql_txn_active", "gauge", std::to_string(txns_.active_count()));
-  single("gisql_txn_started_total", "counter", std::to_string(tc.started));
-  single("gisql_txn_committed_total", "counter",
-         std::to_string(tc.committed));
-  single("gisql_txn_aborted_total", "counter", std::to_string(tc.aborted));
-  single("gisql_txn_deadlocks_total", "counter",
-         std::to_string(tc.deadlocks));
-  single("gisql_txn_lock_waits_total", "counter",
-         std::to_string(tc.lock_waits));
-  single("gisql_txn_watermark", "gauge", std::to_string(txns_.Watermark()));
-  single("gisql_txn_pinned_snapshots", "gauge",
-         std::to_string(txns_.pinned_snapshots()));
+  single("gisql_txn_active", "gauge", txns_.active_count());
+  single("gisql_txn_started_total", "counter", tc.started);
+  single("gisql_txn_committed_total", "counter", tc.committed);
+  single("gisql_txn_aborted_total", "counter", tc.aborted);
+  single("gisql_txn_deadlocks_total", "counter", tc.deadlocks);
+  single("gisql_txn_lock_waits_total", "counter", tc.lock_waits);
+  single("gisql_txn_watermark", "gauge", txns_.Watermark());
+  single("gisql_txn_pinned_snapshots", "gauge", txns_.pinned_snapshots());
 
-  const auto breakers = governor_.breakers().Snapshot();
-  auto breaker_series = [&out, &breakers](const std::string& name,
-                                          const char* type, auto value_of) {
-    if (breakers.empty()) return;
-    out += "# TYPE " + name + " " + type + "\n";
-    for (const auto& b : breakers) {
-      out += name + "{source=\"" + b.source + "\"} " + value_of(b) + "\n";
-    }
-  };
-  breaker_series("gisql_source_breaker_state", "gauge",
-                 [](const BreakerSnapshot& b) {
-                   return std::to_string(static_cast<int>(b.state));
-                 });
-  breaker_series("gisql_source_breaker_skips_total", "counter",
-                 [](const BreakerSnapshot& b) {
-                   return std::to_string(b.skips);
-                 });
-  breaker_series("gisql_source_breaker_probes_total", "counter",
-                 [](const BreakerSnapshot& b) {
-                   return std::to_string(b.probes);
-                 });
+  using Breaker = BreakerSnapshot;
+  AppendLabeled<Breaker>(
+      out, governor_.breakers().Snapshot(), "source", &Breaker::source,
+      {{"gisql_source_breaker_state", "gauge",
+        [](const Breaker& b) {
+          return std::to_string(static_cast<int>(b.state));
+        }},
+       {"gisql_source_breaker_skips_total", "counter",
+        [](const Breaker& b) { return std::to_string(b.skips); }},
+       {"gisql_source_breaker_probes_total", "counter",
+        [](const Breaker& b) { return std::to_string(b.probes); }}});
 
-  // Per-source buffer-pool series. Sources are snapshotted in name
-  // order so the exposition is deterministic.
+  // Per-source buffer-pool series, in source-name order so the
+  // exposition is deterministic.
+  using Pool = std::pair<std::string, BufferPoolStats>;
+  AppendLabeled<Pool>(
+      out, SortedPools(), "source", &Pool::first,
+      {{"gisql_bufferpool_frames", "gauge",
+        [](const Pool& p) { return std::to_string(p.second.pool_frames); }},
+       {"gisql_bufferpool_frames_used", "gauge",
+        [](const Pool& p) { return std::to_string(p.second.frames_used); }},
+       {"gisql_bufferpool_hits_total", "counter",
+        [](const Pool& p) { return std::to_string(p.second.hits); }},
+       {"gisql_bufferpool_misses_total", "counter",
+        [](const Pool& p) { return std::to_string(p.second.misses); }},
+       {"gisql_bufferpool_evictions_total", "counter",
+        [](const Pool& p) { return std::to_string(p.second.evictions); }},
+       {"gisql_bufferpool_disk_reads_total", "counter",
+        [](const Pool& p) { return std::to_string(p.second.disk_reads); }},
+       {"gisql_bufferpool_disk_writes_total", "counter",
+        [](const Pool& p) { return std::to_string(p.second.disk_writes); }},
+       {"gisql_bufferpool_disk_ms_total", "counter", [](const Pool& p) {
+          return std::to_string(p.second.disk_us / 1e3);
+        }}});
+
+  // Per-tenant attribution series.
+  using Tenant = TenantUsage;
+  AppendLabeled<Tenant>(
+      out, tenants_.SnapshotTenants(), "tenant", &Tenant::tenant,
+      {{"gisql_tenant_queries_total", "counter",
+        [](const Tenant& t) { return std::to_string(t.queries); }},
+       {"gisql_tenant_sheds_total", "counter",
+        [](const Tenant& t) { return std::to_string(t.sheds); }},
+       {"gisql_tenant_cache_hits_total", "counter",
+        [](const Tenant& t) { return std::to_string(t.cache_hits); }},
+       {"gisql_tenant_rows_total", "counter",
+        [](const Tenant& t) { return std::to_string(t.rows); }},
+       {"gisql_tenant_elapsed_ms_total", "counter",
+        [](const Tenant& t) { return std::to_string(t.elapsed_ms); }},
+       {"gisql_tenant_bytes_sent_total", "counter",
+        [](const Tenant& t) { return std::to_string(t.bytes_sent); }},
+       {"gisql_tenant_bytes_received_total", "counter",
+        [](const Tenant& t) { return std::to_string(t.bytes_received); }},
+       {"gisql_tenant_mem_peak_bytes", "gauge",
+        [](const Tenant& t) { return std::to_string(t.mem_peak_bytes); }},
+       {"gisql_tenant_page_misses_total", "counter",
+        [](const Tenant& t) { return std::to_string(t.page_misses); }}});
+
+  // SLO series, labeled by objective.
+  AppendLabeled<SloStatus>(
+      out, slo_.Snapshot(), "objective", &SloStatus::name,
+      {{"gisql_slo_fast_burn", "gauge",
+        [](const SloStatus& s) { return std::to_string(s.fast_burn); }},
+       {"gisql_slo_slow_burn", "gauge",
+        [](const SloStatus& s) { return std::to_string(s.slow_burn); }},
+       {"gisql_slo_slow_attainment", "gauge",
+        [](const SloStatus& s) { return std::to_string(s.slow_attainment); }},
+       {"gisql_slo_alerting", "gauge",
+        [](const SloStatus& s) { return std::string(s.alerting ? "1" : "0"); }},
+       {"gisql_slo_alerts_total", "counter",
+        [](const SloStatus& s) { return std::to_string(s.alerts); }}});
+
+  single("gisql_incidents_total", "counter", flight_.incidents_captured());
+  return out;
+}
+
+std::vector<std::pair<std::string, BufferPoolStats>>
+GlobalSystem::SortedPools() const {
   std::vector<std::pair<std::string, BufferPoolStats>> pools;
   pools.reserve(sources_.size());
   for (const auto& s : sources_) {
@@ -605,118 +583,7 @@ std::string GlobalSystem::ExportPrometheus() const {
   }
   std::sort(pools.begin(), pools.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  auto pool_series = [&out, &pools](const std::string& name, const char* type,
-                                    auto value_of) {
-    if (pools.empty()) return;
-    out += "# TYPE " + name + " " + type + "\n";
-    for (const auto& [source, p] : pools) {
-      out += name + "{source=\"" + source + "\"} " + value_of(p) + "\n";
-    }
-  };
-  pool_series("gisql_bufferpool_frames", "gauge",
-              [](const BufferPoolStats& p) {
-                return std::to_string(p.pool_frames);
-              });
-  pool_series("gisql_bufferpool_frames_used", "gauge",
-              [](const BufferPoolStats& p) {
-                return std::to_string(p.frames_used);
-              });
-  pool_series("gisql_bufferpool_hits_total", "counter",
-              [](const BufferPoolStats& p) { return std::to_string(p.hits); });
-  pool_series("gisql_bufferpool_misses_total", "counter",
-              [](const BufferPoolStats& p) {
-                return std::to_string(p.misses);
-              });
-  pool_series("gisql_bufferpool_evictions_total", "counter",
-              [](const BufferPoolStats& p) {
-                return std::to_string(p.evictions);
-              });
-  pool_series("gisql_bufferpool_disk_reads_total", "counter",
-              [](const BufferPoolStats& p) {
-                return std::to_string(p.disk_reads);
-              });
-  pool_series("gisql_bufferpool_disk_writes_total", "counter",
-              [](const BufferPoolStats& p) {
-                return std::to_string(p.disk_writes);
-              });
-  pool_series("gisql_bufferpool_disk_ms_total", "counter",
-              [](const BufferPoolStats& p) {
-                return std::to_string(p.disk_us / 1e3);
-              });
-
-  // Per-tenant attribution series. Tenant names are user-controlled
-  // strings, so label values go through the escaper.
-  const auto tenant_rows = tenants_.SnapshotTenants();
-  auto tenant_series = [&out, &tenant_rows](const std::string& name,
-                                            const char* type, auto value_of) {
-    if (tenant_rows.empty()) return;
-    out += "# TYPE " + name + " " + type + "\n";
-    for (const auto& t : tenant_rows) {
-      out += name + "{tenant=\"" + EscapeLabelValue(t.tenant) + "\"} " +
-             value_of(t) + "\n";
-    }
-  };
-  tenant_series("gisql_tenant_queries_total", "counter",
-                [](const TenantUsage& t) { return std::to_string(t.queries); });
-  tenant_series("gisql_tenant_sheds_total", "counter",
-                [](const TenantUsage& t) { return std::to_string(t.sheds); });
-  tenant_series("gisql_tenant_cache_hits_total", "counter",
-                [](const TenantUsage& t) {
-                  return std::to_string(t.cache_hits);
-                });
-  tenant_series("gisql_tenant_rows_total", "counter",
-                [](const TenantUsage& t) { return std::to_string(t.rows); });
-  tenant_series("gisql_tenant_elapsed_ms_total", "counter",
-                [](const TenantUsage& t) {
-                  return std::to_string(t.elapsed_ms);
-                });
-  tenant_series("gisql_tenant_bytes_sent_total", "counter",
-                [](const TenantUsage& t) {
-                  return std::to_string(t.bytes_sent);
-                });
-  tenant_series("gisql_tenant_bytes_received_total", "counter",
-                [](const TenantUsage& t) {
-                  return std::to_string(t.bytes_received);
-                });
-  tenant_series("gisql_tenant_mem_peak_bytes", "gauge",
-                [](const TenantUsage& t) {
-                  return std::to_string(t.mem_peak_bytes);
-                });
-  tenant_series("gisql_tenant_page_misses_total", "counter",
-                [](const TenantUsage& t) {
-                  return std::to_string(t.page_misses);
-                });
-
-  // SLO series, labeled by objective.
-  const auto slo_rows = slo_.Snapshot();
-  auto slo_series = [&out, &slo_rows](const std::string& name,
-                                      const char* type, auto value_of) {
-    if (slo_rows.empty()) return;
-    out += "# TYPE " + name + " " + type + "\n";
-    for (const auto& s : slo_rows) {
-      out += name + "{objective=\"" + EscapeLabelValue(s.name) + "\"} " +
-             value_of(s) + "\n";
-    }
-  };
-  slo_series("gisql_slo_fast_burn", "gauge", [](const SloStatus& s) {
-    return std::to_string(s.fast_burn);
-  });
-  slo_series("gisql_slo_slow_burn", "gauge", [](const SloStatus& s) {
-    return std::to_string(s.slow_burn);
-  });
-  slo_series("gisql_slo_slow_attainment", "gauge", [](const SloStatus& s) {
-    return std::to_string(s.slow_attainment);
-  });
-  slo_series("gisql_slo_alerting", "gauge", [](const SloStatus& s) {
-    return std::string(s.alerting ? "1" : "0");
-  });
-  slo_series("gisql_slo_alerts_total", "counter", [](const SloStatus& s) {
-    return std::to_string(s.alerts);
-  });
-
-  single("gisql_incidents_total", "counter",
-         std::to_string(flight_.incidents_captured()));
-  return out;
+  return pools;
 }
 
 int64_t GlobalSystem::BufferPoolResidentBytes() const {
@@ -797,54 +664,91 @@ Result<std::string> GlobalSystem::Explain(const std::string& sql) {
 
 namespace {
 
-/// Snapshot of the network counters a query can move; two snapshots
-/// bracket an execution and their difference is the query's traffic.
-struct NetCounters {
-  int64_t bytes_sent = 0;
-  int64_t bytes_received = 0;
-  int64_t messages = 0;
-  int64_t retries = 0;
+/// The one bracketing of the counters a statement can move: construct
+/// before an operation, Delta() after it. Safe as per-statement
+/// attribution because the mediator executes one statement at a time
+/// (the worker pool parallelizes *within* a statement, and
+/// SourceSequencer makes pooled page counters replay serial-identically).
+class UsageMeter {
+ public:
+  UsageMeter(const SimNetwork& net,
+             const std::vector<ComponentSourcePtr>& sources)
+      : net_(net), sources_(sources), start_(Read()) {}
 
-  static NetCounters Read(const SimNetwork& net) {
-    NetCounters c;
-    c.bytes_sent = net.metrics().Get("net.bytes_sent");
-    c.bytes_received = net.metrics().Get("net.bytes_received");
-    c.messages = net.metrics().Get("net.messages");
-    c.retries = net.metrics().Get("net.retries");
-    return c;
+  /// Traffic and source page work since construction; elapsed time and
+  /// memory are the caller's to fill.
+  Usage Delta() const {
+    const Counters now = Read();
+    Usage u;
+    u.bytes_sent = now.bytes_sent - start_.bytes_sent;
+    u.bytes_received = now.bytes_received - start_.bytes_received;
+    u.messages = now.messages - start_.messages;
+    u.retries = now.retries - start_.retries;
+    u.page_hits = now.page_hits - start_.page_hits;
+    u.page_misses = now.page_misses - start_.page_misses;
+    u.disk_ms = (now.disk_us - start_.disk_us) / 1e3;
+    return u;
   }
-};
 
-void FillNetDeltas(QueryMetrics& m, const NetCounters& before,
-                   const NetCounters& after) {
-  m.bytes_sent = after.bytes_sent - before.bytes_sent;
-  m.bytes_received = after.bytes_received - before.bytes_received;
-  m.messages = after.messages - before.messages;
-  m.retries = after.retries - before.retries;
-}
+ private:
+  struct Counters {
+    int64_t bytes_sent = 0, bytes_received = 0, messages = 0, retries = 0;
+    int64_t page_hits = 0, page_misses = 0;
+    double disk_us = 0.0;
+  };
 
-/// Aggregate buffer-pool counters over every source; two snapshots
-/// bracket an execution and their difference is the work done at the
-/// sources on that statement's behalf. Safe as per-query attribution
-/// because the mediator executes one statement at a time (the worker
-/// pool parallelizes *within* a statement, and SourceSequencer makes
-/// pooled page counters replay serial-identically).
-struct PoolCounters {
-  int64_t hits = 0;
-  int64_t misses = 0;
-  double disk_us = 0.0;
-
-  static PoolCounters Read(const std::vector<ComponentSourcePtr>& sources) {
-    PoolCounters c;
-    for (const auto& s : sources) {
+  Counters Read() const {
+    Counters c;
+    c.bytes_sent = net_.metrics().Get("net.bytes_sent");
+    c.bytes_received = net_.metrics().Get("net.bytes_received");
+    c.messages = net_.metrics().Get("net.messages");
+    c.retries = net_.metrics().Get("net.retries");
+    for (const auto& s : sources_) {
       const BufferPoolStats p = s->engine().pool().Snapshot();
-      c.hits += p.hits;
-      c.misses += p.misses;
+      c.page_hits += p.hits;
+      c.page_misses += p.misses;
       c.disk_us += p.disk_us;
     }
     return c;
   }
+
+  const SimNetwork& net_;
+  const std::vector<ComponentSourcePtr>& sources_;
+  const Counters start_;
 };
+
+/// Adds a later operation of the same statement (a cursor fetch or
+/// close) to its running usage; memory keeps the peak.
+void Accumulate(Usage& total, const Usage& op) {
+  total.elapsed_ms += op.elapsed_ms;
+  total.bytes_sent += op.bytes_sent;
+  total.bytes_received += op.bytes_received;
+  total.messages += op.messages;
+  total.retries += op.retries;
+  total.page_hits += op.page_hits;
+  total.page_misses += op.page_misses;
+  total.disk_ms += op.disk_ms;
+  total.mem_bytes = std::max(total.mem_bytes, op.mem_bytes);
+}
+
+/// Copies the caller-facing slice of a usage record into `m`.
+void FillMetrics(QueryMetrics& m, const Usage& u) {
+  m.elapsed_ms = u.elapsed_ms;
+  m.bytes_sent = u.bytes_sent;
+  m.bytes_received = u.bytes_received;
+  m.messages = u.messages;
+  m.retries = u.retries;
+}
+
+/// EXPLAIN's one-row, one-column answer.
+QueryResult PlanTextResult(std::string text) {
+  QueryResult result;
+  result.batch = RowBatch(std::make_shared<Schema>(
+      std::vector<Field>{{"plan", TypeId::kString}}));
+  result.batch.Append({Value::String(text)});
+  result.metrics.plan_text = std::move(text);
+  return result;
+}
 
 }  // namespace
 
@@ -852,15 +756,36 @@ Result<QueryResult> GlobalSystem::Query(const std::string& sql) {
   return Submit(sql, SubmitOptions());
 }
 
-void GlobalSystem::RecordQueryOutcome(QueryLogEntry entry,
+Result<std::vector<uint8_t>> GlobalSystem::RetriedCall(
+    const std::string& to, wire::Opcode op, const std::vector<uint8_t>& req) {
+  RetryResult r = CallWithRetry(network_, retry_policy_, kMediatorHost, to,
+                                static_cast<uint8_t>(op), req);
+  if (!r.ok()) return r.status;
+  return std::move(r.payload);
+}
+
+void GlobalSystem::RecordQueryOutcome(const std::string& sql,
                                       const QueryContext& qctx,
-                                      int64_t mem_bytes, int64_t page_hits,
-                                      int64_t page_misses, double disk_ms) {
+                                      const Usage& usage,
+                                      const Outcome& outcome) {
+  QueryLogEntry entry;
+  entry.sql = sql;
+  entry.elapsed_ms = usage.elapsed_ms;
+  entry.bytes_sent = usage.bytes_sent;
+  entry.bytes_received = usage.bytes_received;
+  entry.messages = usage.messages;
+  entry.retries = usage.retries;
+  entry.cache_hit = outcome.cache_hit;
+  entry.rows = outcome.rows;
+  entry.trace_root = static_cast<int64_t>(outcome.trace_root);
+  entry.admission_wait_ms = qctx.admission_wait_ms;
+  entry.shed_reason = outcome.shed_reason;
   entry.tenant = qctx.tenant;
   entry.priority = qctx.priority;
+  entry.finish_ms = outcome.finish_ms;
   // Template fingerprint: literals/whitespace normalized away, so the
   // advisor (and gis.queries readers) can group recurring shapes.
-  entry.fingerprint = sql::FingerprintHex(entry.sql);
+  entry.fingerprint = sql::FingerprintHex(sql);
   const bool shed = !entry.shed_reason.empty();
 
   TenantCharge charge;
@@ -873,10 +798,10 @@ void GlobalSystem::RecordQueryOutcome(QueryLogEntry entry,
   charge.bytes_received = entry.bytes_received;
   charge.messages = entry.messages;
   charge.retries = entry.retries;
-  charge.mem_bytes = mem_bytes;
-  charge.page_hits = page_hits;
-  charge.page_misses = page_misses;
-  charge.disk_ms = disk_ms;
+  charge.mem_bytes = usage.mem_bytes;
+  charge.page_hits = usage.page_hits;
+  charge.page_misses = usage.page_misses;
+  charge.disk_ms = usage.disk_ms;
   tenants_.Record(qctx.tenant, charge);
 
   QueryFrame frame;
@@ -972,15 +897,8 @@ std::string GlobalSystem::SystemStateJson(double now_ms) const {
 
   out += ",\"buffer_pools\":[";
   {
-    std::vector<std::pair<std::string, BufferPoolStats>> pools;
-    pools.reserve(sources_.size());
-    for (const auto& s : sources_) {
-      pools.emplace_back(s->name(), s->engine().pool().Snapshot());
-    }
-    std::sort(pools.begin(), pools.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
     bool first = true;
-    for (const auto& [name, p] : pools) {
+    for (const auto& [name, p] : SortedPools()) {
       if (!first) out += ",";
       first = false;
       out += "{\"source\":" + JsonStr(name);
@@ -1022,32 +940,38 @@ std::string GlobalSystem::SystemStateJson(double now_ms) const {
   return out;
 }
 
-Result<AdmissionDecision> GlobalSystem::AdmitOrShed(
-    const std::string& sql, const SubmitOptions& submit) {
-  AdmissionRequest req;
+QueryContext GlobalSystem::Arrive(const SubmitOptions& submit) const {
+  QueryContext qctx;
+  qctx.tenant = QueryContext::NormalizeTenant(submit.tenant);
+  qctx.priority = submit.priority;
   // Closed-loop callers (plain Query) arrive at the completion time
   // of the previous query, so a slot is always free and the governor
   // is invisible; open-loop callers pass explicit arrivals.
-  req.arrival_ms =
+  qctx.arrival_ms =
       submit.arrival_ms >= 0 ? submit.arrival_ms : governor_.now_ms();
+  qctx.start_ms = qctx.arrival_ms;
+  return qctx;
+}
+
+Result<GlobalSystem::Admission> GlobalSystem::Admit(
+    const std::string& sql, const SubmitOptions& submit) {
+  Admission adm;
+  adm.qctx = Arrive(submit);
+  adm.governed = options_.admission_control;
+  if (!adm.governed) return adm;
+  AdmissionRequest req;
+  req.arrival_ms = adm.qctx.arrival_ms;
   req.priority = submit.priority;
   req.max_wait_ms = submit.max_wait_ms;
-  AdmissionDecision decision = governor_.admission().Admit(req);
+  const AdmissionDecision decision = governor_.admission().Admit(req);
   if (!decision.admitted) {
     metrics_.Add("admission.shed", 1);
     // Shed queries still land in gis.queries (with their reason and
     // zero traffic) so operators can see *what* was refused — and in
     // the tenant ledger, so noisy neighbors show up in their sheds.
-    QueryContext qctx;
-    qctx.tenant = QueryContext::NormalizeTenant(submit.tenant);
-    qctx.priority = submit.priority;
-    qctx.arrival_ms = req.arrival_ms;
-    qctx.start_ms = req.arrival_ms;
-    QueryLogEntry entry;
-    entry.sql = sql;
-    entry.shed_reason = ShedReasonName(decision.reason);
-    entry.finish_ms = req.arrival_ms;  // refused at arrival
-    RecordQueryOutcome(std::move(entry), qctx, 0, 0, 0, 0.0);
+    RecordQueryOutcome(sql, adm.qctx, Usage(),
+                       {.finish_ms = adm.qctx.arrival_ms,  // refused
+                        .shed_reason = ShedReasonName(decision.reason)});
     if (decision.reason == ShedReason::kDeadline) {
       return Status::Overloaded(
           "query shed: the admission queue would hold it for ",
@@ -1061,48 +985,42 @@ Result<AdmissionDecision> GlobalSystem::AdmitOrShed(
   }
   metrics_.Add("admission.admitted", 1);
   metrics_.Observe("admission.wait_ms", decision.wait_ms);
-  return decision;
+  adm.ticket = decision.ticket;
+  adm.qctx.start_ms = decision.start_ms;
+  adm.qctx.admission_wait_ms = decision.wait_ms;
+  return adm;
+}
+
+Status GlobalSystem::Release(const std::string& sql, const Admission& adm,
+                             const Status& st, double elapsed_ms) {
+  if (adm.governed) {
+    const double end_ms = adm.qctx.start_ms + elapsed_ms;
+    governor_.admission().Release(adm.ticket, end_ms);
+    governor_.AdvanceTo(end_ms);
+  }
+  if (st.IsOverloaded()) {
+    // A memory-budget abort is a shed too: one count per query (charge
+    // denials within a query are schedule-dependent; the query-level
+    // outcome is not). It aborted mid-execution: zero width.
+    governor_.RecordMemoryShed();
+    metrics_.Add("admission.shed", 1);
+    RecordQueryOutcome(
+        sql, adm.qctx, Usage(),
+        {.finish_ms = adm.qctx.start_ms,
+         .shed_reason = ShedReasonName(ShedReason::kMemoryBudget)});
+  }
+  return st;
 }
 
 Result<QueryResult> GlobalSystem::Submit(const std::string& sql,
                                          const SubmitOptions& submit) {
-  AdmissionDecision decision;
-  const bool governed = options_.admission_control;
-  if (governed) {
-    GISQL_ASSIGN_OR_RETURN(decision, AdmitOrShed(sql, submit));
-  }
-
-  QueryContext qctx;
-  qctx.tenant = QueryContext::NormalizeTenant(submit.tenant);
-  qctx.priority = submit.priority;
-  qctx.arrival_ms =
-      submit.arrival_ms >= 0 ? submit.arrival_ms : governor_.now_ms();
-  qctx.start_ms = governed ? decision.start_ms : qctx.arrival_ms;
-
+  GISQL_ASSIGN_OR_RETURN(Admission adm, Admit(sql, submit));
   MemoryGrant grant = governor_.memory().NewGrant();
-  Result<QueryResult> result =
-      RunStatement(sql, &grant, qctx, decision.wait_ms);
-
-  if (governed) {
-    const double elapsed = result.ok() ? result->metrics.elapsed_ms : 0.0;
-    governor_.admission().Release(decision.ticket,
-                                  decision.start_ms + elapsed);
-    governor_.AdvanceTo(decision.start_ms + elapsed);
-  }
+  Result<QueryResult> result = RunStatement(sql, &grant, adm.qctx);
+  Release(sql, adm, result.status(),
+          result.ok() ? result->metrics.elapsed_ms : 0.0);
   if (result.ok()) {
-    result->metrics.admission_wait_ms = decision.wait_ms;
-  } else if (result.status().IsOverloaded()) {
-    // A memory-budget abort is a shed too: one count per query (charge
-    // denials within a query are schedule-dependent; the query-level
-    // outcome is not).
-    governor_.RecordMemoryShed();
-    metrics_.Add("admission.shed", 1);
-    QueryLogEntry entry;
-    entry.sql = sql;
-    entry.admission_wait_ms = decision.wait_ms;
-    entry.shed_reason = ShedReasonName(ShedReason::kMemoryBudget);
-    entry.finish_ms = qctx.start_ms;  // aborted mid-execution, zero-width
-    RecordQueryOutcome(std::move(entry), qctx, 0, 0, 0, 0.0);
+    result->metrics.admission_wait_ms = adm.qctx.admission_wait_ms;
   }
   // The advisor rides the statement clock: by this point the governor
   // has advanced past this statement's completion, so tick times — and
@@ -1114,7 +1032,6 @@ Result<QueryResult> GlobalSystem::Submit(const std::string& sql,
 Result<QueryResult> GlobalSystem::RunStatement(const std::string& sql,
                                                MemoryGrant* grant,
                                                const QueryContext& qctx,
-                                               double admission_wait_ms,
                                                uint64_t snapshot_ts,
                                                uint64_t txn_id) {
   // Each query owns the collector for its duration; the spans stay
@@ -1129,91 +1046,16 @@ Result<QueryResult> GlobalSystem::RunStatement(const std::string& sql,
   }
 
   GISQL_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
-  switch (stmt.kind) {
-    case sql::Statement::Kind::kExplain: {
-      GISQL_ASSIGN_OR_RETURN(PlanNodePtr plan,
-                             PlanQuery(*stmt.select, tr, root));
-      auto schema = std::make_shared<Schema>(
-          std::vector<Field>{{"plan", TypeId::kString}});
-      QueryResult result;
-      result.batch = RowBatch(schema);
-      result.batch.Append({Value::String(plan->Explain())});
-      result.metrics.plan_text = plan->Explain();
-      return result;
-    }
-    case sql::Statement::Kind::kExplainAnalyze: {
-      GISQL_ASSIGN_OR_RETURN(PlanNodePtr plan,
-                             PlanQuery(*stmt.select, tr, root));
-      // Bracket execution with the same counter snapshot the SELECT
-      // path uses, so ANALYZE reports real traffic alongside time.
-      const NetCounters before = NetCounters::Read(network_);
-      const PoolCounters pools_before = PoolCounters::Read(sources_);
-      ExecContext ctx = MakeExecContext(grant);
-      ctx.snapshot_ts = snapshot_ts;
-      ctx.txn_id = txn_id;
-      ctx.record_actuals = true;
-      uint64_t exec_span = 0;
-      if (tr != nullptr) {
-        exec_span = tr->Begin("execute", "lifecycle", root, 0.0);
-        ctx.trace = tr;
-        ctx.trace_parent = exec_span;
-      }
-      Executor executor(ctx);
-      GISQL_ASSIGN_OR_RETURN(ExecOutput out, executor.Execute(plan));
-      auto schema = std::make_shared<Schema>(
-          std::vector<Field>{{"plan", TypeId::kString}});
-      QueryResult result;
-      result.batch = RowBatch(schema);
-      result.metrics.elapsed_ms = out.elapsed_ms;
-      FillNetDeltas(result.metrics, before, NetCounters::Read(network_));
-      std::string text = plan->Explain();
-      text += "Total: " + std::to_string(out.batch.num_rows()) +
-              " row(s) in " + std::to_string(out.elapsed_ms) +
-              " simulated ms\n";
-      text += "Network: " + std::to_string(result.metrics.bytes_sent) +
-              " bytes sent, " + std::to_string(result.metrics.bytes_received) +
-              " bytes received, " + std::to_string(result.metrics.messages) +
-              " message(s), " + std::to_string(result.metrics.retries) +
-              " retrie(s)\n";
-      result.batch.Append({Value::String(text)});
-      result.metrics.plan_text = text;
-      metrics_.Add("query.count", 1);
-      metrics_.Observe("query.ms", out.elapsed_ms);
-      metrics_.Observe("query.bytes",
-                       static_cast<double>(result.metrics.bytes_received));
-      if (tr != nullptr) {
-        tr->SetRows(root, static_cast<int64_t>(out.batch.num_rows()));
-        tr->End(exec_span, out.elapsed_ms);
-        tr->End(root, out.elapsed_ms);
-      }
-      QueryLogEntry entry;
-      entry.sql = sql;
-      entry.elapsed_ms = out.elapsed_ms;
-      entry.bytes_sent = result.metrics.bytes_sent;
-      entry.bytes_received = result.metrics.bytes_received;
-      entry.messages = result.metrics.messages;
-      entry.retries = result.metrics.retries;
-      entry.rows = static_cast<int64_t>(out.batch.num_rows());
-      entry.trace_root = static_cast<int64_t>(root);
-      entry.admission_wait_ms = admission_wait_ms;
-      entry.finish_ms = qctx.start_ms + out.elapsed_ms;
-      const PoolCounters pools_after = PoolCounters::Read(sources_);
-      RecordQueryOutcome(std::move(entry), qctx,
-                         grant != nullptr ? grant->used() : 0,
-                         pools_after.hits - pools_before.hits,
-                         pools_after.misses - pools_before.misses,
-                         (pools_after.disk_us - pools_before.disk_us) / 1e3);
-      return result;
-    }
-    case sql::Statement::Kind::kSelect:
-      break;
-    default:
-      return Status::InvalidArgument(
-          "the mediator accepts SELECT/EXPLAIN; DDL and DML run at the "
-          "component sources");
+  using Kind = sql::Statement::Kind;
+  if (stmt.kind != Kind::kSelect && stmt.kind != Kind::kExplain &&
+      stmt.kind != Kind::kExplainAnalyze) {
+    return Status::InvalidArgument(
+        "the mediator accepts SELECT/EXPLAIN; DDL and DML run at the "
+        "component sources");
   }
-
   GISQL_ASSIGN_OR_RETURN(PlanNodePtr plan, PlanQuery(*stmt.select, tr, root));
+  if (stmt.kind == Kind::kExplain) return PlanTextResult(plan->Explain());
+  const bool analyze = stmt.kind == Kind::kExplainAnalyze;
 
   // gis.* snapshots change between executions by design, so any plan
   // touching one must bypass the result cache entirely.
@@ -1222,9 +1064,10 @@ Result<QueryResult> GlobalSystem::RunStatement(const std::string& sql,
     if (node->kind == PlanKind::kVirtualScan) has_system_scan = true;
   });
   // A transactional read is pinned to its snapshot: neither served
-  // from nor inserted into the (latest-committed) result cache.
-  const bool use_cache =
-      cache_ != nullptr && !has_system_scan && snapshot_ts == 0 && txn_id == 0;
+  // from nor inserted into the (latest-committed) result cache, and
+  // EXPLAIN ANALYZE must really execute.
+  const bool use_cache = cache_ != nullptr && !analyze && !has_system_scan &&
+                         snapshot_ts == 0 && txn_id == 0;
 
   // Result cache: the decomposed plan's canonical text identifies the
   // computation (fragments, strategies, planner options all shape it).
@@ -1235,42 +1078,23 @@ Result<QueryResult> GlobalSystem::RunStatement(const std::string& sql,
     auto cached = cache_->Lookup(cache_key);
     if (tr != nullptr) tr->SetNote(lookup, cached ? "hit" : "miss");
     if (cached) {
+      // Served from mediator memory: zero simulated latency and zero
+      // traffic (real zeros, not unknowns).
       QueryResult result;
       result.batch = std::move(cached->batch);
-      // Served from mediator memory: zero simulated latency and —
-      // explicitly, not by default-initialization — zero traffic.
-      result.metrics.elapsed_ms = 0.0;
-      result.metrics.bytes_sent = 0;
-      result.metrics.bytes_received = 0;
-      result.metrics.messages = 0;
-      result.metrics.retries = 0;
       result.metrics.cache_hit = true;
       result.metrics.plan_text = cache_key + "(cache hit)\n";
-      metrics_.Add("query.count", 1);
-      metrics_.Observe("query.ms", 0.0);
-      metrics_.Observe("query.bytes", 0.0);
-      if (tr != nullptr) {
-        tr->SetRows(root, static_cast<int64_t>(result.batch.num_rows()));
-        tr->End(root, 0.0);
-      }
-      QueryLogEntry entry;
-      entry.sql = sql;
-      entry.cache_hit = true;
-      entry.rows = static_cast<int64_t>(result.batch.num_rows());
-      entry.trace_root = static_cast<int64_t>(root);
-      entry.admission_wait_ms = admission_wait_ms;
-      entry.finish_ms = qctx.start_ms;  // served from memory: zero width
-      RecordQueryOutcome(std::move(entry), qctx, 0, 0, 0, 0.0);
-      return result;
+      const auto rows = static_cast<int64_t>(result.batch.num_rows());
+      return CompleteStatement(sql, qctx, root, Usage(), rows,
+                               std::move(result));
     }
   }
 
-  const NetCounters before = NetCounters::Read(network_);
-  const PoolCounters pools_before = PoolCounters::Read(sources_);
-
+  UsageMeter meter(network_, sources_);
   ExecContext ctx = MakeExecContext(grant);
   ctx.snapshot_ts = snapshot_ts;
   ctx.txn_id = txn_id;
+  ctx.record_actuals = analyze;
   uint64_t exec_span = 0;
   if (tr != nullptr) {
     exec_span = tr->Begin("execute", "lifecycle", root, 0.0);
@@ -1279,22 +1103,27 @@ Result<QueryResult> GlobalSystem::RunStatement(const std::string& sql,
   }
   Executor executor(ctx);
   GISQL_ASSIGN_OR_RETURN(ExecOutput out, executor.Execute(plan));
+  Usage usage = meter.Delta();
+  usage.elapsed_ms = out.elapsed_ms;
+  usage.mem_bytes = grant != nullptr ? grant->used() : 0;
+  if (tr != nullptr) tr->End(exec_span, out.elapsed_ms);
+  const auto rows = static_cast<int64_t>(out.batch.num_rows());
 
+  if (analyze) {
+    return CompleteStatement(
+        sql, qctx, root, usage, rows,
+        PlanTextResult(
+            plan->Explain() + "Total: " + std::to_string(rows) +
+            " row(s) in " + std::to_string(out.elapsed_ms) +
+            " simulated ms\nNetwork: " + std::to_string(usage.bytes_sent) +
+            " bytes sent, " + std::to_string(usage.bytes_received) +
+            " bytes received, " + std::to_string(usage.messages) +
+            " message(s), " + std::to_string(usage.retries) +
+            " retrie(s)\n"));
+  }
   QueryResult result;
   result.batch = std::move(out.batch);
-  result.metrics.elapsed_ms = out.elapsed_ms;
-  FillNetDeltas(result.metrics, before, NetCounters::Read(network_));
   result.metrics.plan_text = plan->Explain();
-  metrics_.Add("query.count", 1);
-  metrics_.Observe("query.ms", out.elapsed_ms);
-  metrics_.Observe("query.bytes",
-                   static_cast<double>(result.metrics.bytes_received));
-
-  if (tr != nullptr) {
-    tr->SetRows(root, static_cast<int64_t>(result.batch.num_rows()));
-    tr->End(exec_span, out.elapsed_ms);
-  }
-
   if (use_cache) {
     if (tr != nullptr) {
       tr->Begin("cache.insert", "lifecycle", root, out.elapsed_ms);
@@ -1313,31 +1142,32 @@ Result<QueryResult> GlobalSystem::RunStatement(const std::string& sql,
         }
       }
     });
-    cache_->Insert(cache_key, result.batch, result.metrics.elapsed_ms,
+    cache_->Insert(cache_key, result.batch, out.elapsed_ms,
                    std::move(sources), std::move(tables));
   }
-  if (tr != nullptr) tr->End(root, out.elapsed_ms);
+  return CompleteStatement(sql, qctx, root, usage, rows, std::move(result));
+}
 
+QueryResult GlobalSystem::CompleteStatement(const std::string& sql,
+                                            const QueryContext& qctx,
+                                            uint64_t root, const Usage& usage,
+                                            int64_t rows, QueryResult result) {
+  metrics_.Add("query.count", 1);
+  metrics_.Observe("query.ms", usage.elapsed_ms);
+  metrics_.Observe("query.bytes", static_cast<double>(usage.bytes_received));
+  if (trace_ != nullptr) {
+    trace_->SetRows(root, rows);
+    trace_->End(root, usage.elapsed_ms);
+  }
   // The entry is appended only after execution, so a gis.queries scan
   // never observes the query currently running it (deterministic
   // snapshots regardless of when mid-plan operators fire).
-  QueryLogEntry entry;
-  entry.sql = sql;
-  entry.elapsed_ms = result.metrics.elapsed_ms;
-  entry.bytes_sent = result.metrics.bytes_sent;
-  entry.bytes_received = result.metrics.bytes_received;
-  entry.messages = result.metrics.messages;
-  entry.retries = result.metrics.retries;
-  entry.rows = static_cast<int64_t>(result.batch.num_rows());
-  entry.trace_root = static_cast<int64_t>(root);
-  entry.admission_wait_ms = admission_wait_ms;
-  entry.finish_ms = qctx.start_ms + result.metrics.elapsed_ms;
-  const PoolCounters pools_after = PoolCounters::Read(sources_);
-  RecordQueryOutcome(std::move(entry), qctx,
-                     grant != nullptr ? grant->used() : 0,
-                     pools_after.hits - pools_before.hits,
-                     pools_after.misses - pools_before.misses,
-                     (pools_after.disk_us - pools_before.disk_us) / 1e3);
+  RecordQueryOutcome(sql, qctx, usage,
+                     {.rows = rows,
+                      .finish_ms = qctx.start_ms + usage.elapsed_ms,
+                      .cache_hit = result.metrics.cache_hit,
+                      .trace_root = root});
+  FillMetrics(result.metrics, usage);
   return result;
 }
 
@@ -1354,61 +1184,27 @@ Result<uint64_t> GlobalSystem::OpenCursor(const std::string& sql,
   const double lease_ms =
       opts.lease_ms >= 0.0 ? opts.lease_ms : options_.cursor_lease_ms;
 
-  QueryContext qctx;
-  qctx.tenant = QueryContext::NormalizeTenant(opts.submit.tenant);
-  qctx.priority = opts.submit.priority;
-  qctx.arrival_ms = opts.submit.arrival_ms >= 0 ? opts.submit.arrival_ms
-                                                : governor_.now_ms();
-  qctx.start_ms = qctx.arrival_ms;
-
   // The open-cursor cap is checked before admission so a refused open
   // allocates nothing — no cursor, no grant, no admission ticket.
   if (cursors_.OpenCount() >=
       static_cast<size_t>(options_.cursor_max_open)) {
     metrics_.Add("cursor.shed", 1);
-    QueryLogEntry entry;
-    entry.sql = sql;
-    entry.shed_reason = "cursor_limit";
-    entry.finish_ms = qctx.arrival_ms;
-    RecordQueryOutcome(std::move(entry), qctx, 0, 0, 0, 0.0);
+    const QueryContext qctx = Arrive(opts.submit);
+    RecordQueryOutcome(
+        sql, qctx, Usage(),
+        {.finish_ms = qctx.arrival_ms, .shed_reason = "cursor_limit"});
     return Status::Overloaded("cursor shed: ", cursors_.OpenCount(),
                               " cursors already open (limit ",
                               options_.cursor_max_open, ")");
   }
-
-  AdmissionDecision decision;
-  const bool governed = options_.admission_control;
-  if (governed) {
-    GISQL_ASSIGN_OR_RETURN(decision, AdmitOrShed(sql, opts.submit));
-    qctx.start_ms = decision.start_ms;
-  }
+  GISQL_ASSIGN_OR_RETURN(Admission adm, Admit(sql, opts.submit));
 
   // The admission slot covers only the open (which runs the whole plan
   // when it must spool); fetches happen outside it, so cursor_max_open
   // — not max_concurrent_queries — bounds concurrently open cursors.
-  auto finish = [&](double elapsed) {
-    if (governed) {
-      governor_.admission().Release(decision.ticket,
-                                    decision.start_ms + elapsed);
-      governor_.AdvanceTo(decision.start_ms + elapsed);
-    }
-  };
-  auto fail = [&](const Status& st) -> Status {
-    finish(0.0);
-    if (st.IsOverloaded()) {
-      // Spooling overflowed the query budget — the same query-level
-      // shed Submit records.
-      governor_.RecordMemoryShed();
-      metrics_.Add("admission.shed", 1);
-      QueryLogEntry entry;
-      entry.sql = sql;
-      entry.admission_wait_ms = decision.wait_ms;
-      entry.shed_reason = ShedReasonName(ShedReason::kMemoryBudget);
-      entry.finish_ms = qctx.start_ms;
-      RecordQueryOutcome(std::move(entry), qctx, 0, 0, 0, 0.0);
-    }
-    return st;
-  };
+  // Spooling past the query budget is the same query-level shed Submit
+  // records.
+  auto fail = [&](const Status& st) { return Release(sql, adm, st, 0.0); };
 
   auto stmt_or = sql::ParseStatement(sql);
   if (!stmt_or.ok()) return fail(stmt_or.status());
@@ -1426,8 +1222,7 @@ Result<uint64_t> GlobalSystem::OpenCursor(const std::string& sql,
   // nothing to insert (the whole point is never holding the full
   // result), and serving chunks from a cached batch would dodge the
   // memory accounting this path exists to enforce.
-  const NetCounters before = NetCounters::Read(network_);
-  const PoolCounters pools_before = PoolCounters::Read(sources_);
+  UsageMeter meter(network_, sources_);
   MemoryGrant grant = governor_.memory().NewGrant();
   std::unique_ptr<RowStream> stream;
   double open_elapsed = 0.0;
@@ -1448,12 +1243,10 @@ Result<uint64_t> GlobalSystem::OpenCursor(const std::string& sql,
     open_elapsed = out_or->elapsed_ms;
     stream = MakeSpoolStream(std::move(out_or->batch), chunk_rows);
   }
-  finish(open_elapsed);
-  const NetCounters after = NetCounters::Read(network_);
-  const PoolCounters pools_after = PoolCounters::Read(sources_);
+  Release(sql, adm, Status::OK(), open_elapsed);
 
   const double opened_at =
-      governed ? decision.start_ms + open_elapsed : governor_.now_ms();
+      adm.governed ? adm.qctx.start_ms + open_elapsed : governor_.now_ms();
   CursorManager::Entry& e =
       cursors_.Create(sql, streaming, chunk_rows, opened_at, lease_ms);
   e.stream = std::move(stream);
@@ -1464,21 +1257,12 @@ Result<uint64_t> GlobalSystem::OpenCursor(const std::string& sql,
   // reference survive until the cursor finalizes (drain, close, or
   // lease expiry alike).
   e.snapshot_pin = txns_.PinSnapshot();
-  e.elapsed_ms = open_elapsed;
-  e.bytes_sent = after.bytes_sent - before.bytes_sent;
-  e.bytes_received = after.bytes_received - before.bytes_received;
-  e.messages = after.messages - before.messages;
-  e.retries = after.retries - before.retries;
-  // Attribution context, carried until FinalizeCursor writes the one
-  // gis.queries entry covering the cursor's whole life.
-  e.tenant = qctx.tenant;
-  e.priority = qctx.priority;
-  e.arrival_ms = qctx.arrival_ms;
-  e.admission_wait_ms = decision.wait_ms;
-  e.page_hits = pools_after.hits - pools_before.hits;
-  e.page_misses = pools_after.misses - pools_before.misses;
-  e.disk_ms = (pools_after.disk_us - pools_before.disk_us) / 1e3;
-  e.mem_peak_bytes = e.grant.used();
+  // Usage and attribution accumulate until FinalizeCursor writes the
+  // one gis.queries entry covering the cursor's whole life.
+  e.usage = meter.Delta();
+  e.usage.elapsed_ms = open_elapsed;
+  e.usage.mem_bytes = e.grant.used();
+  e.qctx = adm.qctx;
   metrics_.Add("cursor.opened", 1);
   advisor_->Tick(governor_.now_ms());
   return e.id;
@@ -1497,8 +1281,7 @@ Result<GlobalSystem::CursorChunkResult> GlobalSystem::FetchChunk(
                             CursorManager::StateName(e->state));
   }
 
-  const NetCounters before = NetCounters::Read(network_);
-  const PoolCounters pools_before = PoolCounters::Read(sources_);
+  UsageMeter meter(network_, sources_);
   Result<StreamChunk> chunk_or = e->stream->Next();
   if (!chunk_or.ok()) {
     // A transport error leaves the cursor open: the stream did not
@@ -1528,7 +1311,7 @@ Result<GlobalSystem::CursorChunkResult> GlobalSystem::FetchChunk(
         EstimateRowBytes(static_cast<int64_t>(chunk.rows.num_rows()), width),
         "a cursor chunk");
     e->grant = std::move(next);
-    e->mem_peak_bytes = std::max(e->mem_peak_bytes, e->grant.used());
+    e->usage.mem_bytes = std::max(e->usage.mem_bytes, e->grant.used());
     if (!charged.ok()) {
       governor_.RecordMemoryShed();
       metrics_.Add("admission.shed", 1);
@@ -1538,18 +1321,11 @@ Result<GlobalSystem::CursorChunkResult> GlobalSystem::FetchChunk(
     }
   }
 
+  Usage fetched = meter.Delta();
+  fetched.elapsed_ms = chunk.elapsed_ms;
   e->chunks += 1;
   e->rows += static_cast<int64_t>(chunk.rows.num_rows());
-  e->elapsed_ms += chunk.elapsed_ms;
-  const NetCounters after = NetCounters::Read(network_);
-  const PoolCounters pools_after = PoolCounters::Read(sources_);
-  e->bytes_sent += after.bytes_sent - before.bytes_sent;
-  e->bytes_received += after.bytes_received - before.bytes_received;
-  e->messages += after.messages - before.messages;
-  e->retries += after.retries - before.retries;
-  e->page_hits += pools_after.hits - pools_before.hits;
-  e->page_misses += pools_after.misses - pools_before.misses;
-  e->disk_ms += (pools_after.disk_us - pools_before.disk_us) / 1e3;
+  Accumulate(e->usage, fetched);
 
   governor_.AdvanceTo(now + chunk.elapsed_ms);
   // Each successful fetch renews the lease from the advanced clock.
@@ -1560,8 +1336,7 @@ Result<GlobalSystem::CursorChunkResult> GlobalSystem::FetchChunk(
   res.batch = std::move(chunk.rows);
   res.done = chunk.done;
   res.seq = static_cast<uint64_t>(e->chunks - 1);
-  res.metrics.elapsed_ms = chunk.elapsed_ms;
-  FillNetDeltas(res.metrics, before, after);
+  FillMetrics(res.metrics, fetched);
   if (chunk.done) FinalizeCursor(*e, CursorManager::State::kDrained);
   return res;
 }
@@ -1592,53 +1367,27 @@ void GlobalSystem::FinalizeCursor(CursorManager::Entry& entry,
   if (entry.stream != nullptr) {
     // Best-effort remote close; its traffic and time belong to the
     // cursor like any fetch's.
-    const NetCounters before = NetCounters::Read(network_);
+    UsageMeter meter(network_, sources_);
     const double close_ms = entry.stream->Close();
-    const NetCounters after = NetCounters::Read(network_);
-    entry.bytes_sent += after.bytes_sent - before.bytes_sent;
-    entry.bytes_received += after.bytes_received - before.bytes_received;
-    entry.messages += after.messages - before.messages;
-    entry.retries += after.retries - before.retries;
-    entry.elapsed_ms += close_ms;
+    Usage closed = meter.Delta();
+    closed.elapsed_ms = close_ms;
+    Accumulate(entry.usage, closed);
     governor_.AdvanceTo(governor_.now_ms() + close_ms);
   }
   // One gis.queries entry per cursor, written at end of life so it
-  // carries the cursor's whole story (rows served, total traffic).
-  QueryLogEntry log;
-  log.sql = entry.sql;
-  log.elapsed_ms = entry.elapsed_ms;
-  log.bytes_sent = entry.bytes_sent;
-  log.bytes_received = entry.bytes_received;
-  log.messages = entry.messages;
-  log.retries = entry.retries;
-  log.rows = entry.rows;
-  log.shed_reason = shed_reason;
-  log.admission_wait_ms = entry.admission_wait_ms;
-  // End of life on the advanced clock (the close above already moved
-  // it); drained/closed/expired all finish "now".
-  log.finish_ms = governor_.now_ms();
-  QueryContext qctx;
-  qctx.tenant = entry.tenant;
-  qctx.priority = entry.priority;
-  qctx.arrival_ms = entry.arrival_ms;
-  qctx.start_ms = entry.arrival_ms + entry.admission_wait_ms;
-  RecordQueryOutcome(std::move(log), qctx, entry.mem_peak_bytes,
-                     entry.page_hits, entry.page_misses, entry.disk_ms);
-  switch (state) {
-    case CursorManager::State::kDrained:
-      metrics_.Add("cursor.drained", 1);
-      break;
-    case CursorManager::State::kExpired:
-      metrics_.Add("cursor.expired", 1);
-      break;
-    default:
-      metrics_.Add("cursor.closed", 1);
-      break;
-  }
+  // carries the cursor's whole story (rows served, total traffic). It
+  // finishes on the advanced clock (the close above already moved it);
+  // drained/closed/expired all finish "now".
+  RecordQueryOutcome(entry.sql, entry.qctx, entry.usage,
+                     {.rows = entry.rows,
+                      .finish_ms = governor_.now_ms(),
+                      .shed_reason = shed_reason});
+  // cursor.drained / cursor.closed / cursor.expired.
+  metrics_.Add(std::string("cursor.") + CursorManager::StateName(state), 1);
   metrics_.Add("query.count", 1);
-  metrics_.Observe("query.ms", entry.elapsed_ms);
+  metrics_.Observe("query.ms", entry.usage.elapsed_ms);
   metrics_.Observe("query.bytes",
-                   static_cast<double>(entry.bytes_received));
+                   static_cast<double>(entry.usage.bytes_received));
   // The snapshot pin releases together with the grant below — an
   // expired lease frees its spool memory and its version-chain hold
   // on the GC watermark in the same step.

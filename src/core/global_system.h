@@ -18,7 +18,9 @@
 #pragma once
 
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "advisor/advisor.h"
@@ -31,6 +33,7 @@
 #include "core/source_health.h"
 #include "core/system_catalog.h"
 #include "exec/executor.h"
+#include "net/retry.h"
 #include "net/sim_network.h"
 #include "obs/flight_recorder.h"
 #include "obs/query_context.h"
@@ -42,6 +45,7 @@
 #include "source/component_source.h"
 #include "sql/ast.h"
 #include "txn/transaction_manager.h"
+#include "wire/protocol.h"
 
 namespace gisql {
 
@@ -367,6 +371,8 @@ class GlobalSystem : public AdvisorHost {
   int64_t BufferPoolResidentBytes() const;
   /// @}
 
+  /// \brief Reconfigures every subsystem from `options` (construction
+  /// takes the same path).
   void set_options(const PlannerOptions& options) {
     options_ = options;
     governor_.Configure(options);
@@ -469,44 +475,102 @@ class GlobalSystem : public AdvisorHost {
   /// fields left unset).
   ExecContext MakeExecContext(MemoryGrant* grant);
 
+  /// \brief One statement's passage through the admission gate: its
+  /// attribution context and, when admission control is on, the slot
+  /// it holds until Release.
+  struct Admission {
+    QueryContext qctx;
+    bool governed = false;
+    uint64_t ticket = 0;
+  };
+
+  /// \brief Attribution context of a statement arriving now (or at the
+  /// open-loop arrival `submit` names), before admission.
+  QueryContext Arrive(const SubmitOptions& submit) const;
+
+  /// \brief The admission gate shared by Submit and OpenCursor. On a
+  /// shed, logs the refusal and returns Overloaded — before anything
+  /// (cursor, grant) is allocated.
+  Result<Admission> Admit(const std::string& sql, const SubmitOptions& submit);
+
+  /// \brief Frees the admission slot `elapsed_ms` after the statement
+  /// started and advances the clock there. An Overloaded `st` is a
+  /// memory-budget abort, recorded as a shed. Returns `st`.
+  Status Release(const std::string& sql, const Admission& adm,
+                 const Status& st, double elapsed_ms);
+
   /// \brief The post-admission body of Submit: parse through execute,
-  /// charging `grant` and logging with the decided admission wait.
-  /// `qctx` carries the attribution (tenant/priority/arrival/start).
-  /// Non-zero snapshot_ts/txn_id pin execution to a transaction's
-  /// snapshot (and bypass the result cache — snapshots are per-txn).
-  Result<QueryResult> RunStatement(const std::string& sql,
-                                   MemoryGrant* grant,
+  /// charging `grant`. `qctx` carries the attribution (tenant,
+  /// priority, clock, admission wait). Non-zero snapshot_ts/txn_id pin
+  /// execution to a transaction's snapshot (and bypass the result
+  /// cache — snapshots are per-txn). EXPLAIN ANALYZE runs the SELECT
+  /// path with operator actuals recorded and returns the annotated
+  /// plan text instead of rows.
+  Result<QueryResult> RunStatement(const std::string& sql, MemoryGrant* grant,
                                    const QueryContext& qctx,
-                                   double admission_wait_ms,
                                    uint64_t snapshot_ts = 0,
                                    uint64_t txn_id = 0);
 
+  /// \brief Accounts one executed statement (a cache hit included):
+  /// counts it, closes its trace root, records its outcome, and fills
+  /// `result`'s metrics from `usage`.
+  QueryResult CompleteStatement(const std::string& sql,
+                                const QueryContext& qctx, uint64_t root,
+                                const Usage& usage, int64_t rows,
+                                QueryResult result);
+
+  /// \brief How a statement ended, besides what it consumed.
+  struct Outcome {
+    int64_t rows = 0;
+    double finish_ms = 0.0;   ///< simulated completion (or refusal) time
+    const char* shed_reason = "";  ///< "" when the statement ran
+    bool cache_hit = false;
+    uint64_t trace_root = 0;
+  };
+
   /// \brief The single funnel pairing every query-log append with its
   /// attribution charge, SLO event, and flight-recorder frame, so the
-  /// four views can never drift apart. The caller fills the entry
-  /// (including finish_ms and shed_reason); tenant/priority are
-  /// stamped here from `qctx`. `mem_bytes` is the query grant's
-  /// booked total; the page-IO deltas come from bracketing the
-  /// source buffer pools around execution.
-  void RecordQueryOutcome(QueryLogEntry entry, const QueryContext& qctx,
-                          int64_t mem_bytes, int64_t page_hits,
-                          int64_t page_misses, double disk_ms);
+  /// four views can never drift apart. It builds the one QueryLogEntry
+  /// per statement from `usage` (traffic, pages, memory), `qctx`
+  /// (tenant, priority, admission wait), and `outcome`.
+  void RecordQueryOutcome(const std::string& sql, const QueryContext& qctx,
+                          const Usage& usage, const Outcome& outcome);
 
   /// \brief Builds the deterministic `"system"` JSON object embedded
   /// in incident snapshots (sources, admission, memory, buffer pools,
   /// transactions, SLO state — simulation-derived fields only).
   std::string SystemStateJson(double now_ms) const;
 
-  /// \brief Delivers kTxnAbort to every participant of `t` (best
-  /// effort) and marks it aborted. Shared by AbortTransaction and the
-  /// deadlock victim path.
-  void AbortAtParticipants(TxnInfo& t, const std::string& reason);
+  /// \brief Every source's buffer-pool counters, in source-name order
+  /// (Prometheus and incident snapshots render the same view).
+  std::vector<std::pair<std::string, BufferPoolStats>> SortedPools() const;
 
-  /// \brief The admission gate shared by Submit and OpenCursor. On a
-  /// shed, logs the refusal and returns Overloaded — before anything
-  /// (cursor, grant) is allocated.
-  Result<AdmissionDecision> AdmitOrShed(const std::string& sql,
-                                        const SubmitOptions& submit);
+  /// \brief Mediator→source control-plane call under the system retry
+  /// policy; the response payload on success.
+  Result<std::vector<uint8_t>> RetriedCall(const std::string& to,
+                                           wire::Opcode op,
+                                           const std::vector<uint8_t>& req);
+
+  /// \brief 2PC PREPARE of `t`'s next statement at `source`, retried
+  /// under the system policy (the participant dedups by statement
+  /// seq, so at-least-once delivery is safe).
+  RetryResult Prepare(const TxnInfo& t, const std::string& source,
+                      const std::string& sql);
+
+  /// \brief 2PC phase two: allocates the commit timestamp, retires
+  /// transaction `txn_id`, and delivers COMMIT (with the GC watermark)
+  /// to every participant. Undelivered commits leave the classic
+  /// in-doubt state, reported as Internal. `participants` is a copy:
+  /// retiring the transaction frees its TxnInfo.
+  Status CommitAtParticipants(uint64_t txn_id,
+                              std::set<std::string> participants);
+
+  /// \brief Delivers kTxnAbort to every participant (best effort) and
+  /// marks transaction `txn_id` aborted. Shared by AbortTransaction,
+  /// the deadlock victim path, and a failed one-shot prepare.
+  void AbortAtParticipants(uint64_t txn_id,
+                           const std::set<std::string>& participants,
+                           const std::string& reason);
 
   /// \brief Closes expired-lease cursors (called lazily at the top of
   /// every cursor operation; no background thread).

@@ -1,17 +1,14 @@
 #include "core/query_log.h"
 
-#include <cstdlib>
+#include "common/env.h"
 
 namespace gisql {
 
 size_t QueryLog::CapacityFromEnv() {
-  const char* raw = std::getenv("GISQL_QUERY_LOG_CAPACITY");
-  if (raw == nullptr || *raw == '\0') return kDefaultCapacity;
-  char* end = nullptr;
-  long parsed = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0' || parsed < 1) return kDefaultCapacity;
-  if (parsed > static_cast<long>(kMaxCapacity)) return kMaxCapacity;
-  return static_cast<size_t>(parsed);
+  const auto parsed = EnvValue<int64_t>("GISQL_QUERY_LOG_CAPACITY");
+  if (!parsed || *parsed < 1) return kDefaultCapacity;
+  if (*parsed > static_cast<int64_t>(kMaxCapacity)) return kMaxCapacity;
+  return static_cast<size_t>(*parsed);
 }
 
 void QueryLog::Append(QueryLogEntry entry) {

@@ -138,8 +138,9 @@ struct PlannerOptions {
   /// @{
 
   /// Evaluate SLO objectives on every statement (GISQL_SLO_ENABLED).
-  /// The engine is cheap (one deque append + two window scans), so it
-  /// stays on by default.
+  /// Not free: each record scans both whole windows, so its cost grows
+  /// with the arrival rate (about 23 µs per statement at 300 arrivals/s
+  /// over the default 60 s slow window). On by default all the same.
   bool slo_enabled = true;
   /// Fast error-budget window, simulated ms (GISQL_SLO_FAST_WINDOW_MS).
   double slo_fast_window_ms = 5000.0;

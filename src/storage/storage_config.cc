@@ -1,28 +1,19 @@
 #include "storage/storage_config.h"
 
-#include <cstdlib>
-#include <cstring>
+#include "common/env.h"
 
 namespace gisql {
 
 namespace {
 
-/// Overwrites `*out` only on a full, clean, positive parse so a typo'd
-/// variable leaves the compiled-in default intact.
+/// Sizes must be positive and latencies non-negative; anything else
+/// leaves the compiled-in default intact.
 void EnvSize(const char* name, size_t* out) {
-  const char* text = std::getenv(name);
-  if (text == nullptr || *text == '\0') return;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end != nullptr && *end == '\0' && v > 0) *out = static_cast<size_t>(v);
+  if (const auto v = EnvValue<size_t>(name); v && *v > 0) *out = *v;
 }
 
 void EnvMicros(const char* name, double* out) {
-  const char* text = std::getenv(name);
-  if (text == nullptr || *text == '\0') return;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end != nullptr && *end == '\0' && v >= 0) *out = v;
+  if (const auto v = EnvValue<double>(name); v && *v >= 0) *out = *v;
 }
 
 }  // namespace

@@ -593,6 +593,29 @@ TEST(PlannerOptionsEnvTest, FromEnvParsesCleanValuesAndKeepsDefaults) {
       << "a malformed value must leave the compiled-in default intact";
 }
 
+TEST(PlannerOptionsEnvTest, OutOfRangeValuesKeepDefaults) {
+  // 2^32 + 3 must not narrow to 3 in an int knob, and a value past
+  // int64 (strtoll's ERANGE) must not saturate into the field.
+  setenv("GISQL_MAX_CONCURRENT", "4294967299", 1);
+  setenv("GISQL_ADMISSION_QUEUE", "-4294967296", 1);
+  setenv("GISQL_QUERY_MEM_BYTES", "99999999999999999999", 1);
+  setenv("GISQL_BREAKER_SEED", "-1", 1);
+  setenv("GISQL_ADMISSION_WAIT_MS", "1e999", 1);
+  const PlannerOptions o = PlannerOptions::FromEnv();
+  unsetenv("GISQL_MAX_CONCURRENT");
+  unsetenv("GISQL_ADMISSION_QUEUE");
+  unsetenv("GISQL_QUERY_MEM_BYTES");
+  unsetenv("GISQL_BREAKER_SEED");
+  unsetenv("GISQL_ADMISSION_WAIT_MS");
+
+  const PlannerOptions d;
+  EXPECT_EQ(o.max_concurrent_queries, d.max_concurrent_queries);
+  EXPECT_EQ(o.admission_queue_limit, d.admission_queue_limit);
+  EXPECT_EQ(o.query_mem_bytes, d.query_mem_bytes);
+  EXPECT_EQ(o.breaker_seed, d.breaker_seed);
+  EXPECT_EQ(o.admission_max_wait_ms, d.admission_max_wait_ms);
+}
+
 // ---------------------------------------------------------------------------
 // Schedule independence
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -185,6 +186,30 @@ TEST(BufferPoolTest, SameSeedWorkloadRepliesByteIdentically) {
   EXPECT_EQ(first, second);
   // And the workload actually exercised the out-of-core paths.
   EXPECT_NE(first, "0/0/0/0/0/0.000000");
+}
+
+
+TEST(StorageConfigEnvTest, RejectedValuesKeepDefaults) {
+  // Sizes must be positive and latencies non-negative; a negative size
+  // must not wrap to a huge unsigned value, and an overflowing one
+  // must not saturate.
+  setenv("GISQL_PAGE_SIZE", "-5", 1);
+  setenv("GISQL_BUFFER_POOL_FRAMES", "0", 1);
+  setenv("GISQL_LRUK_K", "99999999999999999999", 1);
+  setenv("GISQL_DISK_READ_US", "-1", 1);
+  setenv("GISQL_DISK_WRITE_US", "250.5", 1);
+  const StorageConfig c = StorageConfig::FromEnv();
+  for (const char* name : {"GISQL_PAGE_SIZE", "GISQL_BUFFER_POOL_FRAMES",
+                           "GISQL_LRUK_K", "GISQL_DISK_READ_US",
+                           "GISQL_DISK_WRITE_US"}) {
+    unsetenv(name);
+  }
+  const StorageConfig d;
+  EXPECT_EQ(c.page_size, d.page_size);
+  EXPECT_EQ(c.pool_frames, d.pool_frames);
+  EXPECT_EQ(c.lruk_k, d.lruk_k);
+  EXPECT_EQ(c.disk_read_us, d.disk_read_us);
+  EXPECT_EQ(c.disk_write_us, 250.5);
 }
 
 }  // namespace

@@ -577,6 +577,16 @@ TEST(WorkloadIntelligenceTest, HostileTenantNameIsEscapedInExport) {
       std::string::npos);
 }
 
+TEST(WorkloadIntelligenceTest, HostileSourceNameIsEscapedInExport) {
+  GlobalSystem gis;
+  ASSERT_TRUE(gis.CreateSource("s\"1", SourceDialect::kRelational).ok());
+  const std::string text = gis.ExportPrometheus();
+  EXPECT_NE(text.find("gisql_bufferpool_frames{source=\"s\\\"1\"}"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("source=\"s\"1\""), std::string::npos);
+}
+
 /// The tentpole determinism property: the whole workload-intelligence
 /// surface — tenant ledger, SLO evaluation, incident JSON — must render
 /// byte-identically serial vs pooled under the same seeded traffic.

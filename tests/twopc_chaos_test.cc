@@ -29,6 +29,12 @@ struct FaultCase {
   int participant;  ///< index into the ledgers
 };
 
+// Without this, gtest prints the case as raw bytes, `name` pointer
+// included, and ASLR would make the listed test names differ per run.
+void PrintTo(const FaultCase& fc, std::ostream* os) {
+  *os << fc.name << "@" << fc.participant;
+}
+
 constexpr int kPermanent = 1 << 30;
 
 std::vector<FaultCase> Matrix() {
