@@ -6,7 +6,10 @@
 /// transaction API, and one-shot ExecuteAtomically — then dumping every
 /// observation surface (per-call results and traces, gis.queries,
 /// gis.tenants, gis.slo, gis.incidents, the Prometheus exposition, and
-/// the flight recorder's frames and incident JSON).
+/// the flight recorder's frames and incident JSON), then every `gis.*`
+/// table's schema and full contents. A second federation with circuit
+/// breakers and the advisor on rides out a seeded outage that opens a
+/// breaker, and dumps the same surfaces.
 ///
 /// The transcript is compared byte for byte against
 /// tests/golden/lifecycle_transcript.txt, under serial and pooled
@@ -20,6 +23,7 @@
 #include <sstream>
 #include <string>
 
+#include "catalog/system_tables.h"
 #include "core/global_system.h"
 
 namespace gisql {
@@ -136,12 +140,80 @@ class Transcript {
     if (r.ok()) out_ += r->batch.ToString(1 << 20);
   }
 
+  /// One `name: column:TYPE ...` line per gis.* table, then each
+  /// table's full contents.
+  void Tables(bool with_schemas) {
+    const SystemTableProvider& sys = *gis_->catalog().system_tables();
+    if (with_schemas) {
+      Line("== schemas");
+      for (const auto& name : sys.TableNames()) {
+        std::string line = name + ":";
+        const SchemaPtr schema = *sys.TableSchema(name);
+        for (const auto& f : schema->fields()) {
+          line += " " + f.name + ":" + TypeName(f.type);
+        }
+        Line(line);
+      }
+    }
+    for (const auto& name : sys.TableNames()) Dump("SELECT * FROM " + name);
+  }
+
+  /// The Prometheus exposition and every incident's JSON snapshot.
+  void Exports() {
+    Line("== prometheus");
+    Line(gis_->ExportPrometheus());
+    Line("== flight incidents");
+    for (const auto& inc : gis_->flight_recorder().Incidents()) {
+      Line(std::to_string(inc.id) + " " + inc.trigger + " " + inc.detail);
+      Line(inc.json);
+    }
+  }
+
   const std::string& text() const { return out_; }
 
  private:
   GlobalSystem* gis_;
   std::string out_;
 };
+
+/// A second federation with circuit breakers and the advisor on: a
+/// hot template warms the advisor, then a seeded drop streak at `br`
+/// opens its breaker (a breaker_open incident), skips follow, and the
+/// half-open probes close it again once the faults are spent.
+std::string RunBreakerOutage(bool parallel) {
+  PlannerOptions options;
+  options.parallel_execution = parallel;
+  options.worker_threads = 2;
+  options.circuit_breaker = true;
+  options.breaker_open_failures = 3;
+  options.breaker_cooldown_skips = 2;
+  options.breaker_probe_ratio = 1.0;
+  options.advisor_enabled = true;
+  options.advisor_interval_ms = 1.0;
+  options.advisor_window_ms = 100000.0;
+  options.advisor_hot_threshold = 3;
+  options.advisor_max_views = 1;
+  GlobalSystem gis(options);
+  Build(&gis);
+  Transcript t(&gis);
+  t.Line("== breaker outage");
+  for (int i = 0; i < 4; ++i) {
+    t.Query("SELECT oid, total FROM orders WHERE oid = " +
+            std::to_string(i));
+  }
+  gis.set_retry_policy(RetryPolicy::Standard(2, /*seed=*/5));
+  gis.network().InstallFaults(/*seed=*/5, FaultProfile{});
+  gis.network().faults()->InjectOn("br", /*opcode=*/-1, FaultKind::kDrop, 6);
+  for (int i = 0; i < 5; ++i) {
+    t.Query("SELECT region, COUNT(*) FROM clients GROUP BY region "
+            "ORDER BY region");
+    t.Query("SELECT oid, total FROM orders WHERE oid = " +
+            std::to_string(10 + i));
+  }
+  t.Tables(/*with_schemas=*/false);
+  t.Exports();
+  return t.text();
+}
 
 std::string RunLifecycle(bool parallel) {
   PlannerOptions options;
@@ -257,7 +329,8 @@ std::string RunLifecycle(bool parallel) {
     t.Line(std::to_string(inc.id) + " " + inc.trigger + " " + inc.detail);
     t.Line(inc.json);
   }
-  return t.text();
+  t.Tables(/*with_schemas=*/true);
+  return t.text() + RunBreakerOutage(parallel);
 }
 
 std::string ReadGolden() {
