@@ -1,7 +1,5 @@
 #include "core/cursor_manager.h"
 
-#include "catalog/system_tables.h"
-
 namespace gisql {
 
 const char* CursorManager::StateName(State s) {
@@ -85,26 +83,6 @@ void CursorManager::Finalize(uint64_t id, State state) {
       ++prune;
     }
   }
-}
-
-RowBatch CursorManager::Snapshot() const {
-  RowBatch batch(SystemTableSchema("gis.cursors").ValueUnsafe());
-  for (const auto& [id, e] : entries_) {
-    batch.Append({
-        Value::Int(static_cast<int64_t>(e.id)),
-        Value::String(e.sql),
-        Value::String(StateName(e.state)),
-        Value::Bool(e.streaming),
-        Value::Int(e.chunk_rows),
-        Value::Int(e.chunks),
-        Value::Int(e.rows),
-        Value::Double(e.opened_ms),
-        Value::Double(e.lease_deadline_ms),
-        Value::Double(e.usage.elapsed_ms),
-        Value::Int(e.grant.used()),
-    });
-  }
-  return batch;
 }
 
 }  // namespace gisql

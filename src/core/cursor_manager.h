@@ -4,8 +4,8 @@
 ///
 /// GlobalSystem owns one CursorManager and orchestrates the protocol
 /// (admission, execution, lease sweeps, clock advancement); the
-/// manager is the bookkeeping — entries, their lifecycle states, and
-/// the `gis.cursors` snapshot. An entry holds the pull pipeline
+/// manager is the bookkeeping — entries and their lifecycle states,
+/// which `gis.cursors` shows. An entry holds the pull pipeline
 /// (exec/streaming.h) or the spool of a blocking plan, plus the
 /// query's MemoryGrant: streaming entries re-grant per chunk so the
 /// charged footprint is O(chunk); spool entries keep the full charge
@@ -26,7 +26,6 @@
 #include "exec/streaming.h"
 #include "obs/query_context.h"
 #include "sched/memory_budget.h"
-#include "types/row.h"
 
 namespace gisql {
 
@@ -99,9 +98,9 @@ class CursorManager {
   /// (and any other finished entry's) is invalid afterwards.
   void Finalize(uint64_t id, State state);
 
-  /// \brief `gis.cursors` rows (ascending id, live and retained
-  /// finished entries), matching SystemTableSchema("gis.cursors").
-  RowBatch Snapshot() const;
+  /// \brief Live and retained finished entries, ascending by id (the
+  /// rows of `gis.cursors`).
+  const std::map<uint64_t, Entry>& entries() const { return entries_; }
 
   /// \brief Monotone idempotency-token counter for source-side opens
   /// (exec/streaming.h consumes it). Never reused, so a retried open

@@ -1,14 +1,12 @@
 #include "core/global_system.h"
 
 #include <algorithm>
-#include <initializer_list>
 #include <set>
 #include <utility>
 
 #include "common/bytes.h"
 #include "exec/streaming.h"
 #include "net/retry.h"
-#include "obs/json.h"
 #include "planner/cost_model.h"
 #include "planner/decomposer.h"
 #include "planner/logical_planner.h"
@@ -25,13 +23,11 @@ GlobalSystem::GlobalSystem(PlannerOptions options) {
   // Every RPC outcome the health tracker ingests also feeds the
   // governor's per-source circuit breakers.
   health_.set_outcome_listener(&governor_.breakers());
-  flight_.SetSystemSnapshotFn(
-      [this](double now_ms) { return SystemStateJson(now_ms); });
+  flight_.SetSystemSnapshotFn([this](double now_ms) {
+    return system_catalog_->StateJson(now_ms);
+  });
   set_options(options);
-  system_catalog_ = std::make_unique<SystemCatalog>(
-      &health_, &metrics_, &network_.metrics(), &query_log_, &catalog_,
-      &governor_, &cursors_, &sources_, &txns_, &tenants_, &slo_, &flight_,
-      advisor_.get());
+  system_catalog_ = std::make_unique<SystemCatalog>(*this);
   catalog_.RegisterSystemTableProvider(system_catalog_.get());
 }
 
@@ -400,190 +396,8 @@ void GlobalSystem::AbortAtParticipants(
   txns_.MarkAborted(txn_id, reason, governor_.now_ms());
 }
 
-namespace {
-
-/// One labeled series of ExportPrometheus: its name, type, and how a
-/// row renders as the sample value.
-template <typename Row>
-struct Series {
-  const char* name;
-  const char* type;
-  std::string (*value)(const Row&);
-};
-
-/// Appends each series — a `# TYPE` line, then one sample per row
-/// labeled `label="<row.*label_of>"` — with every label value escaped
-/// (source, tenant, and objective names are all caller-controlled
-/// strings). An empty row set emits nothing.
-template <typename Row>
-void AppendLabeled(std::string& out, const std::vector<Row>& rows,
-                   const char* label, std::string Row::*label_of,
-                   std::initializer_list<Series<Row>> series) {
-  if (rows.empty()) return;
-  for (const Series<Row>& s : series) {
-    out += std::string("# TYPE ") + s.name + " " + s.type + "\n";
-    for (const Row& r : rows) {
-      out += std::string(s.name) + "{" + label + "=\"" +
-             EscapeLabelValue(r.*label_of) + "\"} " + s.value(r) + "\n";
-    }
-  }
-}
-
-}  // namespace
-
 std::string GlobalSystem::ExportPrometheus() const {
-  // Two registries under distinct prefixes (their metric names overlap
-  // only accidentally, but Prometheus forbids re-declaring a name), then
-  // labeled per-source health series.
-  std::string out = metrics_.ExportPrometheus("gisql");
-  out += network_.metrics().ExportPrometheus("gisql_net");
-
-  using Health = SourceHealthSnapshot;
-  AppendLabeled<Health>(
-      out, health_.Snapshot(), "source", &Health::source,
-      {{"gisql_source_state", "gauge",
-        [](const Health& s) {
-          return std::to_string(static_cast<int>(s.state));
-        }},
-       {"gisql_source_requests_total", "counter",
-        [](const Health& s) { return std::to_string(s.requests); }},
-       {"gisql_source_errors_total", "counter",
-        [](const Health& s) { return std::to_string(s.errors); }},
-       {"gisql_source_retries_total", "counter",
-        [](const Health& s) { return std::to_string(s.retries); }},
-       {"gisql_source_ewma_latency_ms", "gauge",
-        [](const Health& s) { return std::to_string(s.ewma_ms); }},
-       {"gisql_source_p95_latency_ms", "gauge",
-        [](const Health& s) { return std::to_string(s.p95_ms); }}});
-
-  auto single = [&out](const std::string& name, const char* type,
-                       auto value) {
-    out += "# TYPE " + name + " " + type + "\n";
-    out += name + " " + std::to_string(value) + "\n";
-  };
-  // Resource-governor series (admission.* counters/histogram already
-  // export via the mediator registry above).
-  const GovernorSnapshot g = governor_.Snapshot();
-  single("gisql_admission_in_flight", "gauge", g.admission.in_flight);
-  single("gisql_admission_shed_queue_full_total", "counter",
-         g.admission.shed_queue_full);
-  single("gisql_admission_shed_deadline_total", "counter",
-         g.admission.shed_deadline);
-  single("gisql_admission_shed_memory_budget_total", "counter",
-         g.shed_memory_budget);
-  single("gisql_memory_peak_bytes", "gauge", g.mem_peak_bytes);
-  single("gisql_breakers_open", "gauge", g.breakers_open);
-  single("gisql_breaker_transitions_total", "counter", g.breaker_transitions);
-
-  // Self-driving advisor series.
-  const AdvisorCounters ac = advisor_->counters();
-  single("gisql_advisor_ticks_total", "counter", ac.ticks);
-  single("gisql_advisor_decisions_total", "counter", ac.decisions);
-  single("gisql_advisor_materializations_total", "counter",
-         ac.materializations);
-  single("gisql_advisor_evictions_total", "counter", ac.evictions);
-  single("gisql_advisor_placements_total", "counter", ac.placements);
-  single("gisql_advisor_tunings_total", "counter", ac.tunings);
-  single("gisql_advisor_failures_total", "counter", ac.failures);
-
-  // Transaction-manager series: active gauge, lifecycle counters, and
-  // the MVCC GC watermark position.
-  const TxnCounters& tc = txns_.counters();
-  single("gisql_txn_active", "gauge", txns_.active_count());
-  single("gisql_txn_started_total", "counter", tc.started);
-  single("gisql_txn_committed_total", "counter", tc.committed);
-  single("gisql_txn_aborted_total", "counter", tc.aborted);
-  single("gisql_txn_deadlocks_total", "counter", tc.deadlocks);
-  single("gisql_txn_lock_waits_total", "counter", tc.lock_waits);
-  single("gisql_txn_watermark", "gauge", txns_.Watermark());
-  single("gisql_txn_pinned_snapshots", "gauge", txns_.pinned_snapshots());
-
-  using Breaker = BreakerSnapshot;
-  AppendLabeled<Breaker>(
-      out, governor_.breakers().Snapshot(), "source", &Breaker::source,
-      {{"gisql_source_breaker_state", "gauge",
-        [](const Breaker& b) {
-          return std::to_string(static_cast<int>(b.state));
-        }},
-       {"gisql_source_breaker_skips_total", "counter",
-        [](const Breaker& b) { return std::to_string(b.skips); }},
-       {"gisql_source_breaker_probes_total", "counter",
-        [](const Breaker& b) { return std::to_string(b.probes); }}});
-
-  // Per-source buffer-pool series, in source-name order so the
-  // exposition is deterministic.
-  using Pool = std::pair<std::string, BufferPoolStats>;
-  AppendLabeled<Pool>(
-      out, SortedPools(), "source", &Pool::first,
-      {{"gisql_bufferpool_frames", "gauge",
-        [](const Pool& p) { return std::to_string(p.second.pool_frames); }},
-       {"gisql_bufferpool_frames_used", "gauge",
-        [](const Pool& p) { return std::to_string(p.second.frames_used); }},
-       {"gisql_bufferpool_hits_total", "counter",
-        [](const Pool& p) { return std::to_string(p.second.hits); }},
-       {"gisql_bufferpool_misses_total", "counter",
-        [](const Pool& p) { return std::to_string(p.second.misses); }},
-       {"gisql_bufferpool_evictions_total", "counter",
-        [](const Pool& p) { return std::to_string(p.second.evictions); }},
-       {"gisql_bufferpool_disk_reads_total", "counter",
-        [](const Pool& p) { return std::to_string(p.second.disk_reads); }},
-       {"gisql_bufferpool_disk_writes_total", "counter",
-        [](const Pool& p) { return std::to_string(p.second.disk_writes); }},
-       {"gisql_bufferpool_disk_ms_total", "counter", [](const Pool& p) {
-          return std::to_string(p.second.disk_us / 1e3);
-        }}});
-
-  // Per-tenant attribution series.
-  using Tenant = TenantUsage;
-  AppendLabeled<Tenant>(
-      out, tenants_.SnapshotTenants(), "tenant", &Tenant::tenant,
-      {{"gisql_tenant_queries_total", "counter",
-        [](const Tenant& t) { return std::to_string(t.queries); }},
-       {"gisql_tenant_sheds_total", "counter",
-        [](const Tenant& t) { return std::to_string(t.sheds); }},
-       {"gisql_tenant_cache_hits_total", "counter",
-        [](const Tenant& t) { return std::to_string(t.cache_hits); }},
-       {"gisql_tenant_rows_total", "counter",
-        [](const Tenant& t) { return std::to_string(t.rows); }},
-       {"gisql_tenant_elapsed_ms_total", "counter",
-        [](const Tenant& t) { return std::to_string(t.elapsed_ms); }},
-       {"gisql_tenant_bytes_sent_total", "counter",
-        [](const Tenant& t) { return std::to_string(t.bytes_sent); }},
-       {"gisql_tenant_bytes_received_total", "counter",
-        [](const Tenant& t) { return std::to_string(t.bytes_received); }},
-       {"gisql_tenant_mem_peak_bytes", "gauge",
-        [](const Tenant& t) { return std::to_string(t.mem_peak_bytes); }},
-       {"gisql_tenant_page_misses_total", "counter",
-        [](const Tenant& t) { return std::to_string(t.page_misses); }}});
-
-  // SLO series, labeled by objective.
-  AppendLabeled<SloStatus>(
-      out, slo_.Snapshot(), "objective", &SloStatus::name,
-      {{"gisql_slo_fast_burn", "gauge",
-        [](const SloStatus& s) { return std::to_string(s.fast_burn); }},
-       {"gisql_slo_slow_burn", "gauge",
-        [](const SloStatus& s) { return std::to_string(s.slow_burn); }},
-       {"gisql_slo_slow_attainment", "gauge",
-        [](const SloStatus& s) { return std::to_string(s.slow_attainment); }},
-       {"gisql_slo_alerting", "gauge",
-        [](const SloStatus& s) { return std::string(s.alerting ? "1" : "0"); }},
-       {"gisql_slo_alerts_total", "counter",
-        [](const SloStatus& s) { return std::to_string(s.alerts); }}});
-
-  single("gisql_incidents_total", "counter", flight_.incidents_captured());
-  return out;
-}
-
-std::vector<std::pair<std::string, BufferPoolStats>>
-GlobalSystem::SortedPools() const {
-  std::vector<std::pair<std::string, BufferPoolStats>> pools;
-  pools.reserve(sources_.size());
-  for (const auto& s : sources_) {
-    pools.emplace_back(s->name(), s->engine().pool().Snapshot());
-  }
-  std::sort(pools.begin(), pools.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return pools;
+  return system_catalog_->ExportPrometheus();
 }
 
 int64_t GlobalSystem::BufferPoolResidentBytes() const {
@@ -851,93 +665,6 @@ void GlobalSystem::RecordQueryOutcome(const std::string& sql,
       flight_.OnBreakerOpen(detail, finish_ms);
     }
   }
-}
-
-std::string GlobalSystem::SystemStateJson(double now_ms) const {
-  // Deterministic, simulation-derived fields only: every value below
-  // replays byte-identically under the same seed, serial or pooled.
-  std::string out;
-  out.reserve(2048);
-  out += "{\"now_ms\":" + JsonNum(now_ms);
-
-  out += ",\"sources\":[";
-  {
-    auto sources = health_.Snapshot();
-    std::sort(sources.begin(), sources.end(),
-              [](const SourceHealthSnapshot& a, const SourceHealthSnapshot& b) {
-                return a.source < b.source;
-              });
-    bool first = true;
-    for (const auto& s : sources) {
-      if (!first) out += ",";
-      first = false;
-      const BreakerSnapshot b = governor_.breakers().SnapshotOf(s.source);
-      out += "{\"source\":" + JsonStr(s.source);
-      out += ",\"state\":" + JsonStr(SourceHealthStateName(s.state));
-      out += ",\"requests\":" + JsonNum(s.requests);
-      out += ",\"errors\":" + JsonNum(s.errors);
-      out += ",\"retries\":" + JsonNum(s.retries);
-      out += ",\"breaker\":" + JsonStr(BreakerStateName(b.state));
-      out += "}";
-    }
-  }
-  out += "]";
-
-  const GovernorSnapshot g = governor_.Snapshot();
-  out += ",\"admission\":{";
-  out += "\"in_flight\":" + JsonNum(static_cast<int64_t>(g.admission.in_flight));
-  out += ",\"admitted\":" + JsonNum(g.admission.admitted);
-  out += ",\"queued\":" + JsonNum(g.admission.queued);
-  out += ",\"shed_queue_full\":" + JsonNum(g.admission.shed_queue_full);
-  out += ",\"shed_deadline\":" + JsonNum(g.admission.shed_deadline);
-  out += ",\"shed_memory_budget\":" + JsonNum(g.shed_memory_budget);
-  out += ",\"mem_peak_bytes\":" + JsonNum(g.mem_peak_bytes);
-  out += ",\"breakers_open\":" + JsonNum(static_cast<int64_t>(g.breakers_open));
-  out += "}";
-
-  out += ",\"buffer_pools\":[";
-  {
-    bool first = true;
-    for (const auto& [name, p] : SortedPools()) {
-      if (!first) out += ",";
-      first = false;
-      out += "{\"source\":" + JsonStr(name);
-      out += ",\"frames_used\":" + JsonNum(static_cast<int64_t>(p.frames_used));
-      out += ",\"hits\":" + JsonNum(p.hits);
-      out += ",\"misses\":" + JsonNum(p.misses);
-      out += ",\"evictions\":" + JsonNum(p.evictions);
-      out += "}";
-    }
-  }
-  out += "]";
-
-  out += ",\"transactions\":{";
-  const TxnCounters& tc = txns_.counters();
-  out += "\"active\":" + JsonNum(static_cast<int64_t>(txns_.active_count()));
-  out += ",\"started\":" + JsonNum(tc.started);
-  out += ",\"committed\":" + JsonNum(tc.committed);
-  out += ",\"aborted\":" + JsonNum(tc.aborted);
-  out += ",\"deadlocks\":" + JsonNum(tc.deadlocks);
-  out += "}";
-
-  out += ",\"slo\":[";
-  {
-    bool first = true;
-    for (const auto& s : slo_.Snapshot()) {
-      if (!first) out += ",";
-      first = false;
-      out += "{\"objective\":" + JsonStr(s.name);
-      out += ",\"slow_total\":" + JsonNum(s.slow_total);
-      out += ",\"slow_good\":" + JsonNum(s.slow_good);
-      out += ",\"fast_burn\":" + JsonNum(s.fast_burn);
-      out += ",\"slow_burn\":" + JsonNum(s.slow_burn);
-      out += ",\"alerting\":";
-      out += s.alerting ? "true" : "false";
-      out += "}";
-    }
-  }
-  out += "]}";
-  return out;
 }
 
 QueryContext GlobalSystem::Arrive(const SubmitOptions& submit) const {

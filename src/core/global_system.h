@@ -360,8 +360,8 @@ class GlobalSystem : public AdvisorHost {
   const FlightRecorder& flight_recorder() const { return flight_; }
 
   /// \brief Prometheus text exposition of the whole system: the
-  /// mediator registry, the network registry, and labeled per-source
-  /// health series (gisql_source_state/requests/errors/...).
+  /// mediator registry, the network registry, and every family the
+  /// observability catalogue declares (core/system_catalog.h).
   std::string ExportPrometheus() const;
 
   /// \brief Bytes of buffer-pool frames currently charged against the
@@ -465,6 +465,10 @@ class GlobalSystem : public AdvisorHost {
   const ThreadPool* worker_pool() const { return pool_.get(); }
 
  private:
+  // The observability catalogue reads every subsystem's state to render
+  // gis.*, Prometheus, and incident JSON.
+  friend class SystemCatalog;
+
   /// \brief The executor worker pool, created lazily on first parallel
   /// query (sized by options_.worker_threads; 0 = auto) and reused by
   /// every query after that.
@@ -535,15 +539,6 @@ class GlobalSystem : public AdvisorHost {
   /// (tenant, priority, admission wait), and `outcome`.
   void RecordQueryOutcome(const std::string& sql, const QueryContext& qctx,
                           const Usage& usage, const Outcome& outcome);
-
-  /// \brief Builds the deterministic `"system"` JSON object embedded
-  /// in incident snapshots (sources, admission, memory, buffer pools,
-  /// transactions, SLO state — simulation-derived fields only).
-  std::string SystemStateJson(double now_ms) const;
-
-  /// \brief Every source's buffer-pool counters, in source-name order
-  /// (Prometheus and incident snapshots render the same view).
-  std::vector<std::pair<std::string, BufferPoolStats>> SortedPools() const;
 
   /// \brief Mediator→source control-plane call under the system retry
   /// policy; the response payload on success.

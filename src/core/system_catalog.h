@@ -1,96 +1,53 @@
 /// \file system_catalog.h
-/// \brief The mediator's concrete SystemTableProvider: snapshots the
-/// health tracker, both metrics registries, the query log, and the
-/// resource governor into `gis.*` row batches.
+/// \brief The observability catalogue: every `gis.*` table, every
+/// labeled Prometheus family, and the incident snapshot's system JSON,
+/// rendered from one column declaration per fact (obs/catalogue.h).
 
 #pragma once
 
+#include <functional>
+#include <map>
+#include <string>
 #include <vector>
 
-#include "advisor/advisor.h"
-#include "catalog/catalog.h"
 #include "catalog/system_tables.h"
-#include "common/metrics.h"
-#include "core/cursor_manager.h"
-#include "core/query_log.h"
-#include "core/source_health.h"
-#include "obs/flight_recorder.h"
-#include "obs/slo.h"
-#include "obs/tenant_accountant.h"
-#include "sched/governor.h"
-#include "source/component_source.h"
-#include "txn/transaction_manager.h"
 
 namespace gisql {
 
-/// \brief Serves the built-in `gis.*` tables from live mediator state.
+class GlobalSystem;
+
+/// \brief Serves the built-in `gis.*` tables from live mediator state,
+/// and renders the same declarations as Prometheus text and JSON.
 ///
 /// Owned by GlobalSystem, which registers it in the Catalog and threads
-/// it into ExecContext. All referenced state outlives the provider
-/// (they are sibling members of the same GlobalSystem). Snapshots are
-/// deterministically ordered: sources and metric names sort
-/// lexicographically, query-log entries ascend by id.
+/// it into ExecContext; it reads the system's state directly (a
+/// friend), so it must not outlive it. Snapshots are deterministically
+/// ordered: sources, tenants and metric names sort lexicographically,
+/// logs ascend by id.
 class SystemCatalog : public SystemTableProvider {
  public:
-  SystemCatalog(const SourceHealthTracker* health,
-                const MetricsRegistry* mediator_metrics,
-                const MetricsRegistry* network_metrics,
-                const QueryLog* query_log, const Catalog* catalog,
-                const ResourceGovernor* governor,
-                const CursorManager* cursors = nullptr,
-                const std::vector<ComponentSourcePtr>* sources = nullptr,
-                const TransactionManager* txns = nullptr,
-                const TenantAccountant* tenants = nullptr,
-                const SloEngine* slo = nullptr,
-                const FlightRecorder* flight = nullptr,
-                const Advisor* advisor = nullptr)
-      : health_(health),
-        mediator_metrics_(mediator_metrics),
-        network_metrics_(network_metrics),
-        query_log_(query_log),
-        catalog_(catalog),
-        governor_(governor),
-        cursors_(cursors),
-        sources_(sources),
-        txns_(txns),
-        tenants_(tenants),
-        slo_(slo),
-        flight_(flight),
-        advisor_(advisor) {}
+  explicit SystemCatalog(const GlobalSystem& gis);
 
-  bool HasTable(const std::string& name) const override;
   Result<SchemaPtr> TableSchema(const std::string& name) const override;
   Result<RowBatch> Snapshot(const std::string& name) const override;
   std::vector<std::string> TableNames() const override;
 
- private:
-  RowBatch SnapshotSources() const;
-  RowBatch SnapshotMetrics() const;
-  RowBatch SnapshotGauges() const;
-  RowBatch SnapshotHistograms() const;
-  RowBatch SnapshotQueries() const;
-  RowBatch SnapshotAdmission() const;
-  RowBatch SnapshotCursors() const;
-  RowBatch SnapshotStorage() const;
-  RowBatch SnapshotTransactions() const;
-  RowBatch SnapshotTenants() const;
-  RowBatch SnapshotSlo() const;
-  RowBatch SnapshotIncidents() const;
-  RowBatch SnapshotAdvisor() const;
+  /// \brief Prometheus text: the mediator registry (prefix `gisql`),
+  /// the network registry (`gisql_net`), then every catalogued family.
+  std::string ExportPrometheus() const;
 
-  const SourceHealthTracker* health_;
-  const MetricsRegistry* mediator_metrics_;
-  const MetricsRegistry* network_metrics_;
-  const QueryLog* query_log_;
-  const Catalog* catalog_;
-  const ResourceGovernor* governor_;
-  const CursorManager* cursors_;
-  const std::vector<ComponentSourcePtr>* sources_;
-  const TransactionManager* txns_;
-  const TenantAccountant* tenants_;
-  const SloEngine* slo_;
-  const FlightRecorder* flight_;
-  const Advisor* advisor_;
+  /// \brief The deterministic `"system"` object of incident snapshots:
+  /// the JSON columns of observed sources, admission, buffer pools,
+  /// transactions, and SLOs.
+  std::string StateJson(double now_ms) const;
+
+ private:
+  struct Table {
+    SchemaPtr schema;
+    std::function<RowBatch(const SchemaPtr&)> rows;
+  };
+  const GlobalSystem& gis_;
+  std::map<std::string, Table> tables_;
 };
 
 }  // namespace gisql

@@ -2,9 +2,27 @@
 
 #include <utility>
 
+#include "obs/catalogue.h"
 #include "obs/json.h"
 
 namespace gisql {
+
+namespace {
+
+/// The fields of each frame in an incident snapshot.
+const Columns<QueryFrame>& FrameColumns() {
+  using F = QueryFrame;
+  static const auto* columns = new Columns<F>{
+      Col("id", &F::query_id).Json(), Col("tenant", &F::tenant).Json(),
+      Col("priority", &F::priority).Json(),
+      Col("finish_ms", &F::finish_ms).Json(),
+      Col("sojourn_ms", &F::sojourn_ms).Json(), Col("rows", &F::rows).Json(),
+      Col("bytes", &F::bytes).Json(), Col("cache_hit", &F::cache_hit).Json(),
+      Col("shed", &F::shed_reason).Json(), Col("sql", &F::sql).Json()};
+  return *columns;
+}
+
+}  // namespace
 
 void FlightRecorder::Configure(size_t ring, size_t max_incidents,
                                double cooldown_ms, int shed_spike,
@@ -105,25 +123,8 @@ std::string FlightRecorder::BuildJson(const std::string& trigger,
   out += ",\"at_ms\":" + JsonNum(now_ms);
   out += ",\"trigger\":" + JsonStr(trigger);
   out += ",\"detail\":" + JsonStr(detail);
-  out += ",\"frames\":[";
-  bool first = true;
-  for (const auto& frame : frames_) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"id\":" + JsonNum(frame.query_id);
-    out += ",\"tenant\":" + JsonStr(frame.tenant);
-    out += ",\"priority\":" + std::to_string(frame.priority);
-    out += ",\"finish_ms\":" + JsonNum(frame.finish_ms);
-    out += ",\"sojourn_ms\":" + JsonNum(frame.sojourn_ms);
-    out += ",\"rows\":" + JsonNum(frame.rows);
-    out += ",\"bytes\":" + JsonNum(frame.bytes);
-    out += ",\"cache_hit\":";
-    out += frame.cache_hit ? "true" : "false";
-    out += ",\"shed\":" + JsonStr(frame.shed_reason);
-    out += ",\"sql\":" + JsonStr(frame.sql);
-    out += "}";
-  }
-  out += "]";
+  out += ",\"frames\":";
+  AppendJsonArray(&out, FrameColumns(), frames_);
   if (system_fn_) {
     out += ",\"system\":" + system_fn_(now_ms);
   }

@@ -51,7 +51,11 @@ inline std::string JsonNum(int64_t value) {
 
 /// \brief Quoted, escaped JSON string literal.
 inline std::string JsonStr(const std::string& raw) {
-  return "\"" + JsonEscape(raw) + "\"";
+  // Built by appending: GCC 12 misreports `"\"" + temporary` as an
+  // overlapping copy (-Wrestrict) once inlined.
+  std::string out = "\"";
+  out += JsonEscape(raw);
+  return out += '"';
 }
 
 }  // namespace gisql

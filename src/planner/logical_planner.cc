@@ -86,13 +86,9 @@ Result<PlanNodePtr> LogicalPlanner::PlanNamedTable(const std::string& name,
   if (IsSystemTableName(name) && catalog_.system_tables() != nullptr) {
     const SystemTableProvider& sys = *catalog_.system_tables();
     const std::string canonical = ToLower(name);
-    if (!sys.HasTable(canonical)) {
-      return Status::BindError("system table '", name,
-                               "' not found (known: gis.sources, "
-                               "gis.metrics, gis.histograms, gis.queries)");
-    }
-    GISQL_ASSIGN_OR_RETURN(SchemaPtr base, sys.TableSchema(canonical));
-    auto schema = std::make_shared<Schema>(base->WithQualifier(qualifier));
+    Result<SchemaPtr> base = sys.TableSchema(canonical);
+    if (!base.ok()) return Status::BindError(base.status().message());
+    auto schema = std::make_shared<Schema>((*base)->WithQualifier(qualifier));
     auto node = MakeVirtualScanNode(canonical, schema);
     node->est_rows = 64.0;  // snapshots are small; a flat guess suffices
     return node;

@@ -201,7 +201,9 @@ TEST_P(CursorChaos, SameSeedReplaysCursorsAndQueriesIdentically) {
 
     // The whole observable picture — cursor lifecycle table, query log,
     // and transport accounting — must be a pure function of the seed.
-    std::string picture = Rows(gis.cursors().Snapshot());
+    auto cursors = gis.Query("SELECT * FROM gis.cursors");
+    ASSERT_TRUE(cursors.ok()) << cursors.status().ToString();
+    std::string picture = Rows(cursors->batch);
     auto log = gis.Query(
         "SELECT sql, shed_reason, rows, retries FROM gis.queries");
     ASSERT_TRUE(log.ok()) << log.status().ToString();
