@@ -52,8 +52,7 @@ std::vector<SloAlert> SloEngine::Record(int priority, double finish_ms,
       tracked.events.pop_front();
     }
     SloStatus status = Evaluate(tracked, now);
-    bool breach = status.fast_burn >= burn_alert_ &&
-                  status.slow_burn >= burn_alert_;
+    const bool breach = status.alerting;
     if (breach && !tracked.alerting) {
       tracked.alerts += 1;
       tracked.last_alert_ms = now;
@@ -100,7 +99,11 @@ SloStatus SloEngine::Evaluate(const Tracked& tracked, double now_ms) const {
   if (budget <= 0.0) budget = 1e-9;  // a 100% goal burns instantly
   status.fast_burn = (1.0 - status.fast_attainment) / budget;
   status.slow_burn = (1.0 - status.slow_attainment) / budget;
-  status.alerting = tracked.alerting;
+  // Breach is a property of the windows at `now_ms`, not of the latch:
+  // once an objective's bad events age out it stops alerting even if
+  // only other priorities' traffic arrived since.
+  status.alerting =
+      status.fast_burn >= burn_alert_ && status.slow_burn >= burn_alert_;
   status.alerts = tracked.alerts;
   status.last_alert_ms = tracked.last_alert_ms;
   return status;

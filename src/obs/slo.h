@@ -53,7 +53,8 @@ struct SloStatus {
   double slow_attainment = 1.0;
   double fast_burn = 0.0;
   double slow_burn = 0.0;
-  bool alerting = false;   ///< currently in breach
+  /// Currently in breach: both burns at or above the alert threshold.
+  bool alerting = false;
   int64_t alerts = 0;      ///< rising edges seen so far
   double last_alert_ms = -1.0;  ///< simulated time of latest rising edge
 };
@@ -113,6 +114,8 @@ class SloEngine {
   struct Tracked {
     SloObjective objective;
     std::deque<Event> events;  ///< within the slow window
+    /// Rising-edge latch: the breach state at this objective's latest
+    /// own event (Snapshot reports the current state instead).
     bool alerting = false;
     int64_t alerts = 0;
     double last_alert_ms = -1.0;

@@ -225,6 +225,28 @@ TEST(SloEngineTest, RecoveryClearsAlertAndNewBreachRaisesAgain) {
   EXPECT_EQ(slo.Snapshot()[0].alerts, 2);
 }
 
+TEST(SloEngineTest, AlertingClearsWhenTheBreachAgesOutUnderOtherTraffic) {
+  SloEngine slo;
+  slo.Configure(/*fast=*/100.0, /*slow=*/1000.0, /*burn=*/2.0);
+  // Interactive breaches once; from then on only normal traffic
+  // arrives, carrying the clock past the slow window.
+  ASSERT_EQ(slo.Record(2, 10.0, 400.0, false).size(), 1u);
+  EXPECT_TRUE(slo.Snapshot()[0].alerting);
+  for (int i = 1; i <= 30; ++i) {
+    EXPECT_TRUE(slo.Record(1, 10.0 + i * 50.0, 1.0, false).empty());
+  }
+  const SloStatus interactive = slo.Snapshot()[0];
+  EXPECT_EQ(interactive.name, "interactive");
+  EXPECT_EQ(interactive.fast_total, 0);
+  EXPECT_EQ(interactive.slow_total, 0);
+  EXPECT_DOUBLE_EQ(interactive.fast_burn, 0.0);
+  EXPECT_DOUBLE_EQ(interactive.slow_burn, 0.0);
+  EXPECT_FALSE(interactive.alerting);
+  // The rising edge it raised stays on record.
+  EXPECT_EQ(interactive.alerts, 1);
+  EXPECT_DOUBLE_EQ(interactive.last_alert_ms, 10.0);
+}
+
 TEST(SloEngineTest, PrioritiesMapToDistinctObjectives) {
   SloEngine slo;
   // Background target is 1000 ms: a 400 ms sojourn is good there but
