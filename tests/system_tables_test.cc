@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <sstream>
@@ -14,6 +15,7 @@
 #include "catalog/system_tables.h"
 #include "core/global_system.h"
 #include "core/query_log.h"
+#include "obs/catalogue.h"
 
 namespace gisql {
 namespace {
@@ -389,6 +391,44 @@ TEST_F(SystemTablesTest, PrometheusExportValidatesAndCoversRegistries) {
             std::string::npos);
   EXPECT_NE(text.find("gisql_source_requests_total{source=\"branch\"}"),
             std::string::npos);
+}
+
+/// The sample value of `series` (its full name with labels) in `text`.
+double SampleOf(const std::string& text, const std::string& series) {
+  const size_t at = text.find("\n" + series + " ");
+  EXPECT_NE(at, std::string::npos) << series;
+  if (at == std::string::npos) return -1.0;
+  return std::strtod(text.c_str() + at + series.size() + 2, nullptr);
+}
+
+TEST(PrometheusCatalogueTest, LabeledDoublesRoundTripThroughExposition) {
+  struct Probe {
+    std::string key;
+    double value = 0.0;
+  };
+  const Columns<Probe> columns = {Col("key", &Probe::key).Label(),
+                                  Col("value", &Probe::value).Gauge("probe")};
+  const std::vector<Probe> rows = {{"tiny", 1e-7}, {"third", 1.0 / 3.0}};
+  std::string text = "\n";
+  AppendSeries(&text, "t", columns, rows);
+  ValidatePrometheus(text.substr(1));
+  for (const Probe& p : rows) {
+    EXPECT_EQ(SampleOf(text, "t_probe{key=\"" + p.key + "\"}"), p.value);
+  }
+}
+
+TEST_F(SystemTablesTest, PrometheusLatencyEqualsGisSourcesExactly) {
+  ASSERT_TRUE(gis_.Query("SELECT COUNT(*) FROM orders").ok());
+  auto sources = gis_.Query("SELECT source, ewma_ms, p95_ms FROM gis.sources");
+  ASSERT_TRUE(sources.ok()) << sources.status().ToString();
+  const std::string text = gis_.ExportPrometheus();
+  for (const auto& row : sources->batch.rows()) {
+    const std::string label = "{source=\"" + row[0].AsString() + "\"}";
+    EXPECT_EQ(SampleOf(text, "gisql_source_ewma_latency_ms" + label),
+              row[1].AsDouble());
+    EXPECT_EQ(SampleOf(text, "gisql_source_p95_latency_ms" + label),
+              row[2].AsDouble());
+  }
 }
 
 TEST(PrometheusRegistryTest, EmptyRegistryExportsNothing) {
