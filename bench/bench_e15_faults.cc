@@ -56,16 +56,10 @@ Outcome Scenario(FaultKind kind, int count, bool kill_both) {
   gis.set_retry_policy(RetryPolicy::Standard(4, /*seed=*/15));
   gis.network().InstallFaults(/*seed=*/15, FaultProfile{});
   if (kind != FaultKind::kNone) {
-    // Fragments travel under the columnar opcode by default and the row
-    // opcode when A/B-ing, so the schedule covers both.
-    for (auto op : {wire::Opcode::kExecuteFragment,
-                    wire::Opcode::kExecuteFragmentColumnar}) {
-      gis.network().faults()->InjectOn("replica0", static_cast<int>(op),
-                                       kind, count);
-      if (kill_both) {
-        gis.network().faults()->InjectOn("replica1", static_cast<int>(op),
-                                         kind, count);
-      }
+    const int op = static_cast<int>(wire::Opcode::kExecuteFragmentColumnar);
+    gis.network().faults()->InjectOn("replica0", op, kind, count);
+    if (kill_both) {
+      gis.network().faults()->InjectOn("replica1", op, kind, count);
     }
   }
 

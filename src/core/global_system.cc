@@ -49,7 +49,6 @@ Result<ComponentSource*> GlobalSystem::CreateSource(const std::string& name,
   auto source = std::make_shared<ComponentSource>(
       name, dialect, /*cpu_us_per_row=*/0.05, StorageConfig::FromEnv(),
       &governor_.memory());
-  source->set_vectorized_execution(options_.vectorized_execution);
   GISQL_RETURN_NOT_OK(network_.RegisterHost(name, source.get()));
   SourceInfo info;
   info.name = name;
@@ -430,8 +429,6 @@ ExecContext GlobalSystem::MakeExecContext(MemoryGrant* grant) {
   ctx.semijoin_max_keys = options_.semijoin_max_keys;
   ctx.parallel_execution = options_.parallel_execution;
   ctx.pool = WorkerPool();
-  ctx.columnar_wire = options_.columnar_wire;
-  ctx.vectorized_execution = options_.vectorized_execution;
   ctx.retry_policy = retry_policy_;
   ctx.memory = grant;
   ctx.health = &health_;

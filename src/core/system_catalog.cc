@@ -370,12 +370,13 @@ std::vector<std::string> SystemCatalog::TableNames() const {
 }
 
 std::string SystemCatalog::ExportPrometheus() const {
-  // Two registries under distinct prefixes (their metric names overlap
-  // only accidentally, but Prometheus forbids re-declaring a name), then
-  // the catalogued families. Health series cover observed sources only;
-  // breaker series cover the sources the breaker registry has seen.
+  // Both registries under one prefix: every network metric name starts
+  // with `net.` and no mediator metric does, so no family is declared
+  // twice. Then the catalogued families. Health series cover observed
+  // sources only; breaker series cover the sources the breaker
+  // registry has seen.
   std::string out = gis_.metrics_.ExportPrometheus("gisql");
-  out += gis_.network_.metrics().ExportPrometheus("gisql_net");
+  out += gis_.network_.metrics().ExportPrometheus("gisql");
   const Catalogue& c = TheCatalogue();
   const std::string p = "gisql";
   AppendSeries(&out, p, c.health, gis_.health_.Snapshot());

@@ -32,8 +32,9 @@ class SystemCatalog : public SystemTableProvider {
   Result<RowBatch> Snapshot(const std::string& name) const override;
   std::vector<std::string> TableNames() const override;
 
-  /// \brief Prometheus text: the mediator registry (prefix `gisql`),
-  /// the network registry (`gisql_net`), then every catalogued family.
+  /// \brief Prometheus text: the mediator and network registries
+  /// (prefix `gisql`; network names start with `net.`, so they render
+  /// as `gisql_net_*`), then every catalogued family.
   std::string ExportPrometheus() const;
 
   /// \brief The deterministic `"system"` object of incident snapshots:

@@ -21,6 +21,167 @@
 
 namespace gisql {
 
+double CpuMs(const ExecContext& ctx, size_t rows) {
+  return static_cast<double>(rows) * ctx.mediator_cpu_us_per_row / 1e3;
+}
+
+Result<ReplicaAnswer> CallReplicas(const ExecContext& ctx,
+                                   const PlanNode& node,
+                                   const TraceSink& sink,
+                                   const ReplicaCall& call) {
+  struct Candidate {
+    const std::string* source;
+    const std::string* table;
+  };
+  std::vector<Candidate> candidates;
+  candidates.push_back({&node.fragment_source, &node.fragment.table});
+  for (const auto& alt : node.scan_alternates) {
+    candidates.push_back({&alt.source, &alt.exported_name});
+  }
+  // A suspect source (sustained failure streak — likely down) is tried
+  // after the healthy replicas instead of first, saving the
+  // detection-timeout burn its attempt would cost.
+  if (ctx.health_aware_routing && ctx.health != nullptr &&
+      candidates.size() > 1) {
+    auto penalty = [&](const Candidate& c) {
+      return ctx.health->StateOf(*c.source) == SourceHealthState::kSuspect
+                 ? 1
+                 : 0;
+    };
+    std::stable_sort(candidates.begin(), candidates.end(),
+                     [&](const Candidate& a, const Candidate& b) {
+                       const int pa = penalty(a), pb = penalty(b);
+                       if (pa != pb) return pa < pb;
+                       return pa > 0 && *a.source < *b.source;
+                     });
+  }
+
+  ReplicaAnswer answer;
+  Status last;
+  std::string tried;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const std::string& source = *candidates[i].source;
+    const bool has_next = i + 1 < candidates.size();
+    if (ctx.breakers != nullptr && ctx.breakers->ShouldSkip(source)) {
+      // Free by construction; the E17 bench asserts it stays that way.
+      last = Status::NetworkError("circuit breaker open for source '",
+                                  source, "'");
+      if (sink.enabled()) {
+        const double at = sink.start_ms + answer.elapsed_ms;
+        const uint64_t span =
+            sink.trace->Begin("breaker.skip", "net", sink.parent, at);
+        sink.trace->SetHost(span, source);
+        sink.trace->End(span, at);
+      }
+      if (has_next) {
+        GISQL_LOG(kInfo) << "breaker open for '" << source
+                         << "'; skipping to replica '"
+                         << *candidates[i + 1].source << "'";
+      }
+    } else {
+      RetryResult result =
+          call(source, *candidates[i].table, answer.elapsed_ms);
+      answer.elapsed_ms += result.elapsed_ms;
+      if (result.ok()) {
+        answer.source = &source;
+        answer.payload = std::move(result.payload);
+        return answer;
+      }
+      last = std::move(result.status);
+      if (!last.IsNetworkError()) return last;
+      if (has_next) {
+        GISQL_LOG(kWarn) << "source '" << source
+                         << "' unreachable; failing over to replica '"
+                         << *candidates[i + 1].source << "'";
+      }
+    }
+    tried += tried.empty() ? source : ", " + source;
+  }
+  if (candidates.size() > 1) {
+    return Status::NetworkError("all replicas of '", node.fragment.table,
+                                "' unreachable (tried ", tried,
+                                "); last error: ", last.message());
+  }
+  return last;
+}
+
+Status AdoptPlanSchema(const PlanNode& node, const std::string& source,
+                       wire::ResultBatch* result) {
+  const size_t width = node.output_schema->num_fields();
+  if (result->rows.schema()->num_fields() != width) {
+    return Status::ExecutionError(
+        "fragment result arity ", result->rows.schema()->num_fields(),
+        " does not match plan arity ", width, " from source '", source,
+        "'");
+  }
+  result->rows =
+      RowBatch(node.output_schema, std::move(result->rows.rows()));
+  if (result->columnar != nullptr) {
+    result->columnar->AdoptSchema(node.output_schema);
+  }
+  return Status::OK();
+}
+
+Result<RowBatch> FilterRows(const PlanNode& node, RowBatch rows,
+                            const ColumnBatch* columnar) {
+  RowBatch out(node.output_schema);
+  if (columnar != nullptr &&
+      IsVectorizablePredicate(*node.filter, *columnar)) {
+    // The vectorizable subset is total and replicates the row
+    // evaluator's Kleene semantics, so the selected set is identical.
+    GISQL_ASSIGN_OR_RETURN(ColumnRef pred,
+                           EvalPredicateColumnar(*node.filter, *columnar));
+    const std::vector<uint32_t> sel =
+        SelectTrue(pred.get(), columnar->num_rows());
+    out.Reserve(sel.size());
+    for (uint32_t r : sel) out.Append(std::move(rows.rows()[r]));
+    return out;
+  }
+  for (auto& row : rows.rows()) {
+    GISQL_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*node.filter, row));
+    if (keep) out.Append(std::move(row));
+  }
+  return out;
+}
+
+Result<RowBatch> ProjectRows(const PlanNode& node, const RowBatch& rows) {
+  RowBatch out(node.output_schema);
+  out.Reserve(rows.num_rows());
+  for (const auto& row : rows.rows()) {
+    Row projected;
+    projected.reserve(node.projections.size());
+    for (const auto& p : node.projections) {
+      GISQL_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, row));
+      projected.push_back(std::move(v));
+    }
+    out.Append(std::move(projected));
+  }
+  return out;
+}
+
+Status AppendUnionMember(const PlanNode& node, RowBatch rows,
+                         const ColumnBatch* columnar, RowBatch* out) {
+  const size_t width = node.output_schema->num_fields();
+  bool coerced = columnar != nullptr && columnar->num_columns() >= width;
+  for (size_t c = 0; coerced && c < width; ++c) {
+    const TypeId type = columnar->column(c).type;
+    coerced = type == node.output_schema->field(c).type ||
+              type == TypeId::kNull;
+  }
+  for (auto& row : rows.rows()) {
+    if (!coerced) {
+      for (size_t c = 0; c < width && c < row.size(); ++c) {
+        const TypeId want = node.output_schema->field(c).type;
+        if (!row[c].is_null() && row[c].type() != want) {
+          GISQL_ASSIGN_OR_RETURN(row[c], row[c].CastTo(want));
+        }
+      }
+    }
+    out->Append(std::move(row));
+  }
+  return Status::OK();
+}
+
 Result<ExecOutput> Executor::Execute(const PlanNodePtr& plan) {
   if (ctx_.net == nullptr) {
     return Status::InvalidArgument("executor requires a network");
@@ -90,192 +251,89 @@ Result<ExecOutput> Executor::ExecFragment(const PlanNode& node,
     plain.semijoin_column = -1;
     return ExecFragment(node, plain, t0, self);
   }
-  // Candidate sources: the planned primary, then the alternates of a
-  // replicated view in catalog order. Each candidate gets the full
-  // retry budget; exhausting a candidate on a transport failure moves
-  // to the next replica. All attempts and backoffs charge the same
-  // simulated clock (E11 failover and E15 chaos share this path).
-  struct Candidate {
-    const std::string* source;
-    const std::string* table;
-  };
-  std::vector<Candidate> candidates;
-  candidates.push_back({&node.fragment_source, &frag.table});
-  for (const auto& alt : node.scan_alternates) {
-    candidates.push_back({&alt.source, &alt.exported_name});
-  }
-  // Health-aware routing: a suspect source (sustained failure streak —
-  // likely down) is tried after the healthy replicas instead of first,
-  // saving the detection-timeout burn its attempt would cost. The sort
-  // is stable, so plan order survives while everyone is healthy, and
-  // demoted candidates tie-break on name so the order never depends on
-  // container layout.
-  if (ctx_.health_aware_routing && ctx_.health != nullptr &&
-      candidates.size() > 1) {
-    auto penalty = [&](const Candidate& c) {
-      return ctx_.health->StateOf(*c.source) == SourceHealthState::kSuspect
-                 ? 1
-                 : 0;
-    };
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [&](const Candidate& a, const Candidate& b) {
-                       const int pa = penalty(a), pb = penalty(b);
-                       if (pa != pb) return pa < pb;
-                       return pa > 0 && *a.source < *b.source;
-                     });
-  }
-
-  double spent_ms = 0.0;
-  Status last;
-  std::string tried;
-  // Node-level network actuals, accumulated across all candidates and
-  // attempts (failed ones included — their traffic was charged too).
+  // Each candidate gets the full retry budget; exhausting one on a
+  // transport failure moves to the next replica. All attempts and
+  // backoffs charge the same simulated clock (E11 failover and E15
+  // chaos share this path). Node-level network actuals accumulate
+  // across all candidates and attempts (failed ones included — their
+  // traffic was charged too).
   int64_t total_sent = 0;
   int64_t total_received = 0;
   int64_t total_attempts = 0;
-  auto record_net_actuals = [&] {
-    if (!ctx_.record_actuals) return;
+  // Decorrelates backoff jitter between the fragments of one query.
+  const uint64_t nonce = HashString(frag.table);
+  Result<ReplicaAnswer> answer = CallReplicas(
+      ctx_, node, TraceSink{ctx_.trace, self, t0},
+      [&](const std::string& source, const std::string& table,
+          double spent_ms) {
+        FragmentPlan attempt = frag;
+        attempt.table = table;
+        attempt.snapshot_ts = ctx_.snapshot_ts;
+        attempt.txn_id = ctx_.txn_id;
+        std::vector<uint8_t> request = wire::SerializeFragment(attempt);
+        if (ctx_.trace != nullptr) {
+          // Wire-encode marker: free on the simulated clock, but it
+          // shows what the mediator shipped before any network time.
+          const uint64_t enc = ctx_.trace->Begin("encode", "net", self,
+                                                 t0 + spent_ms);
+          ctx_.trace->SetHost(enc, source);
+          ctx_.trace->AddIo(enc, static_cast<int64_t>(request.size()), 0,
+                            0, 0, 0);
+          ctx_.trace->End(enc, t0 + spent_ms);
+        }
+        RetryResult call = CallWithRetry(
+            *ctx_.net, ctx_.retry_policy, ctx_.mediator_host, source,
+            static_cast<uint8_t>(wire::Opcode::kExecuteFragmentColumnar),
+            request, nonce, TraceSink{ctx_.trace, self, t0 + spent_ms});
+        total_sent += call.bytes_sent;
+        total_received += call.bytes_received;
+        total_attempts += call.attempts;
+        if (ctx_.trace != nullptr) {
+          ctx_.trace->AddIo(self, call.bytes_sent, call.bytes_received,
+                            call.attempts, call.attempts,
+                            call.attempts > 0 ? call.attempts - 1 : 0);
+        }
+        return call;
+      });
+  if (ctx_.record_actuals) {
     node.actual_bytes_sent = total_sent;
     node.actual_bytes_received = total_received;
     node.actual_messages = total_attempts;
     node.actual_attempts = total_attempts;
-  };
-  // Decorrelates backoff jitter between the fragments of one query.
-  const uint64_t nonce = HashString(frag.table);
-  const wire::Opcode opcode = ctx_.columnar_wire
-                                  ? wire::Opcode::kExecuteFragmentColumnar
-                                  : wire::Opcode::kExecuteFragment;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    // An open breaker answers before the wire does: no message, no
-    // bytes, no simulated time — the skip is free by construction and
-    // the E17 bench asserts it stays that way.
-    if (ctx_.breakers != nullptr &&
-        ctx_.breakers->ShouldSkip(*candidates[i].source)) {
-      last = Status::NetworkError("circuit breaker open for source '",
-                                  *candidates[i].source, "'");
-      if (ctx_.trace != nullptr) {
-        const uint64_t sk =
-            ctx_.trace->Begin("breaker.skip", "net", self, t0 + spent_ms);
-        ctx_.trace->SetHost(sk, *candidates[i].source);
-        ctx_.trace->End(sk, t0 + spent_ms);
-      }
-      tried += tried.empty() ? *candidates[i].source
-                             : ", " + *candidates[i].source;
-      if (i + 1 < candidates.size()) {
-        GISQL_LOG(kInfo) << "breaker open for '" << *candidates[i].source
-                         << "'; skipping to replica '"
-                         << *candidates[i + 1].source << "'";
-      }
-      continue;
-    }
-    FragmentPlan attempt = frag;
-    attempt.table = *candidates[i].table;
-    attempt.snapshot_ts = ctx_.snapshot_ts;
-    attempt.txn_id = ctx_.txn_id;
-    std::vector<uint8_t> request = wire::SerializeFragment(attempt);
-    if (ctx_.trace != nullptr) {
-      // Wire-encode marker: free on the simulated clock, but it shows
-      // what the mediator shipped before any network time was spent.
-      const uint64_t enc = ctx_.trace->Begin("encode", "net", self,
-                                             t0 + spent_ms);
-      ctx_.trace->SetHost(enc, *candidates[i].source);
-      ctx_.trace->AddIo(enc, static_cast<int64_t>(request.size()), 0, 0, 0,
-                        0);
-      ctx_.trace->End(enc, t0 + spent_ms);
-    }
-    RetryResult call = CallWithRetry(
-        *ctx_.net, ctx_.retry_policy, ctx_.mediator_host,
-        *candidates[i].source, static_cast<uint8_t>(opcode), request, nonce,
-        TraceSink{ctx_.trace, self, t0 + spent_ms});
-    spent_ms += call.elapsed_ms;
-    total_sent += call.bytes_sent;
-    total_received += call.bytes_received;
-    total_attempts += call.attempts;
-    if (ctx_.trace != nullptr) {
-      ctx_.trace->AddIo(self, call.bytes_sent, call.bytes_received,
-                        call.attempts, call.attempts,
-                        call.attempts > 0 ? call.attempts - 1 : 0);
-    }
-    if (call.ok()) {
-      record_net_actuals();
-      ByteReader reader(call.payload);
-      ExecOutput out;
-      RowBatch batch;
-      if (ctx_.columnar_wire) {
-        GISQL_ASSIGN_OR_RETURN(uint8_t format, reader.GetU8());
-        if (format == wire::kBatchFormatColumnar) {
-          GISQL_ASSIGN_OR_RETURN(ColumnBatch cols,
-                                 wire::ReadColumnBatch(&reader));
-          if (cols.num_columns() != node.output_schema->num_fields()) {
-            return Status::ExecutionError(
-                "fragment result arity ", cols.num_columns(),
-                " does not match plan arity ",
-                node.output_schema->num_fields(), " from source '",
-                *candidates[i].source, "'");
-          }
-          cols.AdoptSchema(node.output_schema);
-          batch = cols.ToRows();
-          out.columnar =
-              std::make_shared<const ColumnBatch>(std::move(cols));
-        } else if (format == wire::kBatchFormatRow) {
-          GISQL_ASSIGN_OR_RETURN(batch, wire::ReadBatch(&reader));
-        } else {
-          return Status::SerializationError("bad batch format byte ",
-                                            int(format));
-        }
-      } else {
-        GISQL_ASSIGN_OR_RETURN(batch, wire::ReadBatch(&reader));
-      }
-      if (batch.schema()->num_fields() != node.output_schema->num_fields()) {
-        return Status::ExecutionError(
-            "fragment result arity ", batch.schema()->num_fields(),
-            " does not match plan arity ", node.output_schema->num_fields(),
-            " from source '", *candidates[i].source, "'");
-      }
-      // Page-stats trailer (sources with paged storage append it after
-      // the batch payload; absence just leaves the actuals unset).
-      if (!reader.AtEnd()) {
-        GISQL_ASSIGN_OR_RETURN(uint64_t page_hits, reader.GetVarint());
-        GISQL_ASSIGN_OR_RETURN(uint64_t page_misses, reader.GetVarint());
-        GISQL_ASSIGN_OR_RETURN(uint64_t evictions, reader.GetVarint());
-        GISQL_ASSIGN_OR_RETURN(double disk_us, reader.GetDouble());
-        if (ctx_.record_actuals) {
-          node.actual_page_hits = static_cast<int64_t>(page_hits);
-          node.actual_page_misses = static_cast<int64_t>(page_misses);
-          node.actual_evictions = static_cast<int64_t>(evictions);
-          node.actual_disk_ms = disk_us / 1e3;
-        }
-      }
-      // Adopt the plan's (qualified) schema for downstream resolution.
-      out.batch = RowBatch(node.output_schema, std::move(batch.rows()));
-      out.elapsed_ms = spent_ms;
-      GISQL_RETURN_NOT_OK(ChargeMemory(out.batch.num_rows(),
-                                       node.output_schema->num_fields(),
-                                       "a fragment result"));
-      return out;
-    }
-    last = std::move(call.status);
-    // Only an unreachable source justifies reading a different replica;
-    // application errors would repeat identically elsewhere.
-    if (!last.IsNetworkError()) {
-      record_net_actuals();
-      return last;
-    }
-    tried += tried.empty() ? *candidates[i].source
-                           : ", " + *candidates[i].source;
-    if (i + 1 < candidates.size()) {
-      GISQL_LOG(kWarn) << "source '" << *candidates[i].source
-                       << "' unreachable; failing over to replica '"
-                       << *candidates[i + 1].source << "'";
+  }
+  GISQL_RETURN_NOT_OK(answer.status());
+  const std::string& source = *answer->source;
+  ByteReader reader(answer->payload);
+  GISQL_ASSIGN_OR_RETURN(wire::ResultBatch result,
+                         wire::ReadResultBatch(&reader));
+  GISQL_RETURN_NOT_OK(AdoptPlanSchema(node, source, &result));
+  // Page-stats trailer (sources with paged storage append it after
+  // the batch payload; absence just leaves the actuals unset).
+  if (!reader.AtEnd()) {
+    GISQL_ASSIGN_OR_RETURN(uint64_t page_hits, reader.GetVarint());
+    GISQL_ASSIGN_OR_RETURN(uint64_t page_misses, reader.GetVarint());
+    GISQL_ASSIGN_OR_RETURN(uint64_t evictions, reader.GetVarint());
+    GISQL_ASSIGN_OR_RETURN(double disk_us, reader.GetDouble());
+    if (ctx_.record_actuals) {
+      node.actual_page_hits = static_cast<int64_t>(page_hits);
+      node.actual_page_misses = static_cast<int64_t>(page_misses);
+      node.actual_evictions = static_cast<int64_t>(evictions);
+      node.actual_disk_ms = disk_us / 1e3;
     }
   }
-  record_net_actuals();
-  if (candidates.size() > 1) {
-    return Status::NetworkError("all replicas of '", frag.table,
-                                "' unreachable (tried ", tried,
-                                "); last error: ", last.message());
+  if (!reader.AtEnd()) {
+    return Status::SerializationError(
+        "trailing bytes after the fragment result from source '", source,
+        "'");
   }
-  return last;
+  ExecOutput out;
+  out.batch = std::move(result.rows);
+  out.columnar = std::move(result.columnar);
+  out.elapsed_ms = answer->elapsed_ms;
+  GISQL_RETURN_NOT_OK(ChargeMemory(out.batch.num_rows(),
+                                   node.output_schema->num_fields(),
+                                   "a fragment result"));
+  return out;
 }
 
 Result<ExecOutput> Executor::ExecUnionAll(const PlanNode& node, double t0,
@@ -310,41 +368,10 @@ Result<ExecOutput> Executor::ExecUnionAll(const PlanNode& node, double t0,
     GISQL_RETURN_NOT_OK(part_result.status());
     ExecOutput part = std::move(*part_result);
     slowest = std::max(slowest, part.elapsed_ms);
-    const size_t width = node.output_schema->num_fields();
-    // Columnar members expose per-column value types, so when every
-    // column already matches the view type the per-value cast checks
-    // vanish for the whole member.
-    bool already_coerced = ctx_.vectorized_execution &&
-                           part.columnar != nullptr &&
-                           part.columnar->num_columns() >= width;
-    if (already_coerced) {
-      for (size_t c = 0; c < width; ++c) {
-        const ColumnBatch::Column& col = part.columnar->column(c);
-        if (col.type != node.output_schema->field(c).type &&
-            col.type != TypeId::kNull) {
-          already_coerced = false;
-          break;
-        }
-      }
-    }
-    if (already_coerced) {
-      for (auto& row : part.batch.rows()) {
-        out.batch.Append(std::move(row));
-      }
-      continue;
-    }
-    for (auto& row : part.batch.rows()) {
-      // Coerce member values to the view's column types.
-      for (size_t c = 0; c < width && c < row.size(); ++c) {
-        const TypeId want = node.output_schema->field(c).type;
-        if (!row[c].is_null() && row[c].type() != want) {
-          GISQL_ASSIGN_OR_RETURN(row[c], row[c].CastTo(want));
-        }
-      }
-      out.batch.Append(std::move(row));
-    }
+    GISQL_RETURN_NOT_OK(AppendUnionMember(node, std::move(part.batch),
+                                          part.columnar.get(), &out.batch));
   }
-  out.elapsed_ms = slowest + CpuMs(out.batch.num_rows());
+  out.elapsed_ms = slowest + CpuMs(ctx_, out.batch.num_rows());
   GISQL_RETURN_NOT_OK(ChargeMemory(out.batch.num_rows(),
                                    node.output_schema->num_fields(),
                                    "a union result"));
@@ -447,14 +474,13 @@ Result<ExecOutput> Executor::ExecJoin(const PlanNode& node, double t0,
     }
     return true;
   };
-  const bool hash_vectorized =
-      ctx_.vectorized_execution && !node.left_keys.empty();
+  const bool keyed = !node.left_keys.empty();
   std::vector<uint64_t> right_hashes;
-  if (hash_vectorized && right.columnar != nullptr) {
+  if (keyed && right.columnar != nullptr) {
     right_hashes = HashKeysColumnar(*right.columnar, node.right_keys);
   }
   std::vector<uint64_t> left_hashes;
-  if (hash_vectorized && left.columnar != nullptr) {
+  if (keyed && left.columnar != nullptr) {
     left_hashes = HashKeysColumnar(*left.columnar, node.left_keys);
   }
   bool right_has_null_key = false;
@@ -510,7 +536,7 @@ Result<ExecOutput> Executor::ExecJoin(const PlanNode& node, double t0,
     const double fetch = sequential
                              ? left.elapsed_ms + right.elapsed_ms
                              : std::max(left.elapsed_ms, right.elapsed_ms);
-    out.elapsed_ms = fetch + CpuMs(left.batch.num_rows() +
+    out.elapsed_ms = fetch + CpuMs(ctx_, left.batch.num_rows() +
                                    right.batch.num_rows());
     GISQL_RETURN_NOT_OK(ChargeMemory(out.batch.num_rows(),
                                      node.output_schema->num_fields(),
@@ -595,7 +621,7 @@ Result<ExecOutput> Executor::ExecJoin(const PlanNode& node, double t0,
   const double fetch_ms = sequential
                               ? left.elapsed_ms + right.elapsed_ms
                               : std::max(left.elapsed_ms, right.elapsed_ms);
-  out.elapsed_ms = fetch_ms + CpuMs(left.batch.num_rows() +
+  out.elapsed_ms = fetch_ms + CpuMs(ctx_, left.batch.num_rows() +
                                     right.batch.num_rows() +
                                     out.batch.num_rows());
   return out;
@@ -604,46 +630,17 @@ Result<ExecOutput> Executor::ExecJoin(const PlanNode& node, double t0,
 Result<ExecOutput> Executor::ApplyFilter(const PlanNode& node,
                                          ExecOutput child) {
   ExecOutput out;
-  out.batch = RowBatch(node.output_schema);
-  // Vectorized path: evaluate the predicate over the columnar copy
-  // into a selection vector, then gather the surviving rows. The
-  // vectorizable subset is total and replicates the row evaluator's
-  // Kleene semantics, so the selected set is identical.
-  if (ctx_.vectorized_execution && child.columnar != nullptr &&
-      IsVectorizablePredicate(*node.filter, *child.columnar)) {
-    GISQL_ASSIGN_OR_RETURN(
-        ColumnRef pred, EvalPredicateColumnar(*node.filter, *child.columnar));
-    const std::vector<uint32_t> sel =
-        SelectTrue(pred.get(), child.columnar->num_rows());
-    out.batch.Reserve(sel.size());
-    auto& rows = child.batch.rows();
-    for (uint32_t r : sel) out.batch.Append(std::move(rows[r]));
-    out.elapsed_ms = child.elapsed_ms + CpuMs(child.batch.num_rows());
-    return out;
-  }
-  for (auto& row : child.batch.rows()) {
-    GISQL_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*node.filter, row));
-    if (keep) out.batch.Append(std::move(row));
-  }
-  out.elapsed_ms = child.elapsed_ms + CpuMs(child.batch.num_rows());
+  out.elapsed_ms = child.elapsed_ms + CpuMs(ctx_, child.batch.num_rows());
+  GISQL_ASSIGN_OR_RETURN(out.batch, FilterRows(node, std::move(child.batch),
+                                               child.columnar.get()));
   return out;
 }
 
 Result<ExecOutput> Executor::ApplyProject(const PlanNode& node,
                                           ExecOutput child) {
   ExecOutput out;
-  out.batch = RowBatch(node.output_schema);
-  out.batch.Reserve(child.batch.num_rows());
-  for (const auto& row : child.batch.rows()) {
-    Row projected;
-    projected.reserve(node.projections.size());
-    for (const auto& p : node.projections) {
-      GISQL_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, row));
-      projected.push_back(std::move(v));
-    }
-    out.batch.Append(std::move(projected));
-  }
-  out.elapsed_ms = child.elapsed_ms + CpuMs(child.batch.num_rows());
+  out.elapsed_ms = child.elapsed_ms + CpuMs(ctx_, child.batch.num_rows());
+  GISQL_ASSIGN_OR_RETURN(out.batch, ProjectRows(node, child.batch));
   GISQL_RETURN_NOT_OK(ChargeMemory(out.batch.num_rows(),
                                    node.output_schema->num_fields(),
                                    "a projected result"));
@@ -699,10 +696,10 @@ Result<ExecOutput> Executor::ExecAggregate(const PlanNode& node, double t0,
                                            uint64_t self) {
   GISQL_ASSIGN_OR_RETURN(ExecOutput child, Exec(*node.children[0], t0, self));
   ExecOutput result;
-  result.elapsed_ms = child.elapsed_ms + CpuMs(child.batch.num_rows());
+  result.elapsed_ms = child.elapsed_ms + CpuMs(ctx_, child.batch.num_rows());
   // Vectorized path: group keys and aggregate inputs computed over
   // contiguous columns, no per-cell Value materialization.
-  if (ctx_.vectorized_execution && child.columnar != nullptr &&
+  if (child.columnar != nullptr &&
       CanVectorizeAggregate(node.group_by, node.aggregates,
                             *child.columnar)) {
     GISQL_ASSIGN_OR_RETURN(
@@ -763,7 +760,7 @@ Result<ExecOutput> Executor::ExecImpl(const PlanNode& node, double t0,
       // positionally aligned. Mediator-local: CPU cost only, no wire.
       ExecOutput out;
       out.batch = RowBatch(node.output_schema, std::move(snap.rows()));
-      out.elapsed_ms = CpuMs(out.batch.num_rows());
+      out.elapsed_ms = CpuMs(ctx_, out.batch.num_rows());
       GISQL_RETURN_NOT_OK(ChargeMemory(out.batch.num_rows(),
                                        node.output_schema->num_fields(),
                                        "a system-table snapshot"));
@@ -818,7 +815,7 @@ Result<ExecOutput> Executor::ExecImpl(const PlanNode& node, double t0,
       // Sorting costs ~n log n row touches.
       const double n = static_cast<double>(rows.size());
       child.elapsed_ms +=
-          CpuMs(static_cast<size_t>(n * std::max(1.0, std::log2(n + 1))));
+          CpuMs(ctx_, static_cast<size_t>(n * std::max(1.0, std::log2(n + 1))));
       child.batch = RowBatch(node.output_schema, std::move(rows));
       return child;
     }
@@ -861,7 +858,7 @@ Result<ExecOutput> Executor::ExecImpl(const PlanNode& node, double t0,
         bucket.push_back(out.batch.num_rows());
         out.batch.Append(std::move(row));
       }
-      out.elapsed_ms = child.elapsed_ms + CpuMs(child.batch.num_rows());
+      out.elapsed_ms = child.elapsed_ms + CpuMs(ctx_, child.batch.num_rows());
       GISQL_RETURN_NOT_OK(ChargeMemory(out.batch.num_rows(),
                                        node.output_schema->num_fields(),
                                        "a distinct result"));

@@ -11,12 +11,16 @@
 
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/retry_policy.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "exec/source_sequencer.h"
+#include "net/retry.h"
 #include "net/sim_network.h"
 #include "planner/plan.h"
 #include "types/column_batch.h"
@@ -27,6 +31,9 @@ class SystemTableProvider;
 class MemoryGrant;
 class CircuitBreakerRegistry;
 class SourceHealthTracker;
+namespace wire {
+struct ResultBatch;
+}  // namespace wire
 
 /// \brief Execution environment handed to the executor.
 struct ExecContext {
@@ -50,15 +57,6 @@ struct ExecContext {
   /// The executor never creates threads of its own, so concurrency is
   /// capped at the pool size no matter how bushy the plan is.
   ThreadPool* pool = nullptr;
-  /// Fetch remote fragments with the columnar wire encoding
-  /// (kExecuteFragmentColumnar). Sources answer row-encoded when a
-  /// fragment's values do not fit their declared column types, so this
-  /// is safe to leave on; off forces the classic row encoding (A/B).
-  bool columnar_wire = true;
-  /// Run vectorized kernels (filter / aggregate / join hashing) over
-  /// fragment results that arrived columnar, falling back per operator
-  /// when an expression is outside the vectorizable subset.
-  bool vectorized_execution = true;
   /// Retry/backoff applied to every remote fragment call. The default
   /// (one attempt, no backoff) makes replica failover pay exactly one
   /// detection timeout per dead host; chaos runs raise max_attempts so
@@ -108,6 +106,67 @@ struct ExecOutput {
   std::shared_ptr<const ColumnBatch> columnar;
 };
 
+/// \name Pieces shared by both executors
+///
+/// The materializing Executor and the streaming pipeline
+/// (exec/streaming.h) run one fragment path and one body per
+/// operator; they differ only in whether a batch is a whole result or
+/// one chunk of it. A `columnar` argument, when non-null, holds the
+/// same rows as the batch beside it.
+/// @{
+
+/// \brief Simulated mediator CPU for processing `rows` rows.
+double CpuMs(const ExecContext& ctx, size_t rows);
+
+/// \brief One replica candidate's call: ship the fragment to `source`,
+/// which exports its table as `table`, after `spent_ms` of simulated
+/// time went to earlier candidates. The call accounts its own traffic.
+using ReplicaCall = std::function<RetryResult(
+    const std::string& source, const std::string& table, double spent_ms)>;
+
+/// \brief A fragment call answered by one of its replica candidates.
+struct ReplicaAnswer {
+  const std::string* source = nullptr;  ///< the candidate that answered
+  std::vector<uint8_t> payload;
+  double elapsed_ms = 0.0;  ///< every candidate's calls, failed ones too
+};
+
+/// \brief Calls `node`'s fragment at the first reachable candidate: the
+/// planned source, then a replicated view's alternates in catalog
+/// order. Under health-aware routing a suspect source moves behind the
+/// healthy ones (a stable sort, so plan order survives while all are
+/// healthy; demoted candidates tie-break on name). An open breaker
+/// skips its candidate before the wire does: no message, no bytes, no
+/// simulated time; the skip is traced under `sink`. Only a NetworkError
+/// fails over: any other error would repeat identically at a replica,
+/// so it returns at once.
+Result<ReplicaAnswer> CallReplicas(const ExecContext& ctx,
+                                   const PlanNode& node,
+                                   const TraceSink& sink,
+                                   const ReplicaCall& call);
+
+/// \brief Checks a fragment result decoded from `source` against
+/// `node`'s arity and relabels it under the plan's (qualified) schema
+/// for downstream name resolution.
+Status AdoptPlanSchema(const PlanNode& node, const std::string& source,
+                       wire::ResultBatch* result);
+
+/// \brief Keeps the rows where `node.filter` is TRUE. A vectorizable
+/// predicate over `columnar` runs as a columnar kernel into a selection
+/// vector; otherwise the row evaluator runs. Both keep the same rows.
+Result<RowBatch> FilterRows(const PlanNode& node, RowBatch rows,
+                            const ColumnBatch* columnar);
+
+/// \brief Evaluates `node.projections` over every row.
+Result<RowBatch> ProjectRows(const PlanNode& node, const RowBatch& rows);
+
+/// \brief Appends a UNION ALL member's rows to `out`, casting values to
+/// the view's column types. When every column of `columnar` already
+/// has the view's type, the rows move over without per-value checks.
+Status AppendUnionMember(const PlanNode& node, RowBatch rows,
+                         const ColumnBatch* columnar, RowBatch* out);
+/// @}
+
 class Executor {
  public:
   explicit Executor(ExecContext ctx) : ctx_(std::move(ctx)) {}
@@ -152,10 +211,6 @@ class Executor {
   /// Closes the span and records EXPLAIN ANALYZE actuals onto the node.
   void FinishNodeSpan(const PlanNode& node, uint64_t span, double t0,
                       const Result<ExecOutput>& out);
-
-  double CpuMs(size_t rows) const {
-    return static_cast<double>(rows) * ctx_.mediator_cpu_us_per_row / 1e3;
-  }
 
   /// Charges `rows` materialized rows of `width` columns against the
   /// query's memory grant (no-op when unbudgeted).

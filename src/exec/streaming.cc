@@ -1,23 +1,17 @@
 #include "exec/streaming.h"
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/logging.h"
-#include "core/source_health.h"
-#include "expr/eval.h"
 #include "net/retry.h"
-#include "sched/circuit_breaker.h"
 #include "wire/cursor.h"
 #include "wire/protocol.h"
 
 namespace gisql {
 namespace {
-
-double CpuMs(const ExecContext& ctx, size_t rows) {
-  return static_cast<double>(rows) * ctx.mediator_cpu_us_per_row / 1e3;
-}
 
 /// Leaf: pulls a fragment's rows through a source cursor. The cursor
 /// opens lazily on the first Next(); replica failover happens only at
@@ -54,24 +48,22 @@ class FragmentStream : public RowStream {
     ByteReader reader(call.payload);
     GISQL_ASSIGN_OR_RETURN(wire::CursorChunk wire_chunk,
                            wire::ReadCursorChunk(&reader));
+    if (!reader.AtEnd()) {
+      return Status::SerializationError(
+          "trailing bytes after cursor chunk ", next_seq_, " from source '",
+          source_, "'");
+    }
     if (wire_chunk.cursor_id != cursor_id_ || wire_chunk.seq != next_seq_) {
       return Status::ExecutionError(
           "cursor ", cursor_id_, " answered chunk ", wire_chunk.seq,
           " of cursor ", wire_chunk.cursor_id, ", expected chunk ",
           next_seq_, " from source '", source_, "'");
     }
-    if (wire_chunk.rows.schema()->num_fields() !=
-        node_->output_schema->num_fields()) {
-      return Status::ExecutionError(
-          "cursor chunk arity ", wire_chunk.rows.schema()->num_fields(),
-          " does not match plan arity ", node_->output_schema->num_fields(),
-          " from source '", source_, "'");
-    }
+    GISQL_RETURN_NOT_OK(AdoptPlanSchema(*node_, source_, &wire_chunk.batch));
     ++next_seq_;
     exhausted_ = wire_chunk.done;
-    // Adopt the plan's (qualified) schema for downstream resolution.
-    chunk.rows =
-        RowBatch(node_->output_schema, std::move(wire_chunk.rows.rows()));
+    chunk.rows = std::move(wire_chunk.batch.rows);
+    chunk.columnar = std::move(wire_chunk.batch.columnar);
     chunk.done = wire_chunk.done;
     return chunk;
   }
@@ -105,7 +97,7 @@ class FragmentStream : public RowStream {
   }
 
   /// Opens the source cursor, failing over across replica candidates
-  /// with the same health-aware ordering as the materializing executor.
+  /// exactly as the materializing executor does.
   Status Open(StreamChunk* chunk) {
     FragmentPlan frag = node_->fragment;
     frag.snapshot_ts = ctx_.snapshot_ts;
@@ -113,68 +105,31 @@ class FragmentStream : public RowStream {
     if (frag.semijoin_column >= 0 && frag.semijoin_values.empty()) {
       frag.semijoin_column = -1;  // decomposer marker without keys
     }
-    struct Candidate {
-      const std::string* source;
-      const std::string* table;
-    };
-    std::vector<Candidate> candidates;
-    candidates.push_back({&node_->fragment_source, &frag.table});
-    for (const auto& alt : node_->scan_alternates) {
-      candidates.push_back({&alt.source, &alt.exported_name});
-    }
-    if (ctx_.health_aware_routing && ctx_.health != nullptr &&
-        candidates.size() > 1) {
-      auto penalty = [&](const Candidate& c) {
-        return ctx_.health->StateOf(*c.source) == SourceHealthState::kSuspect
-                   ? 1
-                   : 0;
-      };
-      std::stable_sort(candidates.begin(), candidates.end(),
-                       [&](const Candidate& a, const Candidate& b) {
-                         const int pa = penalty(a), pb = penalty(b);
-                         if (pa != pb) return pa < pb;
-                         return pa > 0 && *a.source < *b.source;
-                       });
-    }
-
-    Status last;
-    for (const Candidate& candidate : candidates) {
-      if (ctx_.breakers != nullptr &&
-          ctx_.breakers->ShouldSkip(*candidate.source)) {
-        last = Status::NetworkError("circuit breaker open for source '",
-                                    *candidate.source, "'");
-        continue;
-      }
+    auto open_at = [&](const std::string& source, const std::string& table,
+                       double) {
       wire::OpenCursorRequest req;
       req.token = token_;
       req.chunk_rows = chunk_rows_;
       req.fragment = frag;
-      req.fragment.table = *candidate.table;
+      req.fragment.table = table;
       ByteWriter writer;
       wire::WriteOpenCursorRequest(&writer, req);
       RetryResult call = CallWithRetry(
-          *ctx_.net, ctx_.retry_policy, ctx_.mediator_host,
-          *candidate.source,
+          *ctx_.net, ctx_.retry_policy, ctx_.mediator_host, source,
           static_cast<uint8_t>(wire::Opcode::kOpenCursor), writer.Release(),
           HashString(frag.table) ^ token_);
       Account(call, chunk);
-      if (call.ok()) {
-        ByteReader reader(call.payload);
-        GISQL_ASSIGN_OR_RETURN(wire::OpenCursorResponse resp,
-                               wire::ReadOpenCursorResponse(&reader));
-        source_ = *candidate.source;
-        cursor_id_ = resp.cursor_id;
-        opened_ = true;
-        return Status::OK();
-      }
-      last = std::move(call.status);
-      // Only an unreachable source justifies another replica;
-      // application errors would repeat identically elsewhere.
-      if (!last.IsNetworkError()) return last;
-    }
-    return last.ok() ? Status::NetworkError("no candidate source for '",
-                                            frag.table, "'")
-                     : last;
+      return call;
+    };
+    GISQL_ASSIGN_OR_RETURN(ReplicaAnswer answer,
+                           CallReplicas(ctx_, *node_, TraceSink(), open_at));
+    ByteReader reader(answer.payload);
+    GISQL_ASSIGN_OR_RETURN(wire::OpenCursorResponse resp,
+                           wire::ReadOpenCursorResponse(&reader));
+    source_ = *answer.source;
+    cursor_id_ = resp.cursor_id;
+    opened_ = true;
+    return Status::OK();
   }
 
   ExecContext ctx_;
@@ -189,25 +144,26 @@ class FragmentStream : public RowStream {
   uint64_t next_seq_ = 0;
 };
 
-/// Filter over a child stream: one chunk in, at most one (possibly
-/// smaller) chunk out.
-class FilterStream : public RowStream {
+/// Filter or Project over a child stream: one chunk in, one chunk out
+/// (a filter may shrink it), through the executor's per-batch body.
+class MapStream : public RowStream {
  public:
-  FilterStream(const ExecContext& ctx, PlanNodePtr node,
-               std::unique_ptr<RowStream> child)
-      : ctx_(ctx), node_(std::move(node)), child_(std::move(child)) {}
+  using Body =
+      std::function<Result<RowBatch>(RowBatch, const ColumnBatch*)>;
+
+  MapStream(const ExecContext& ctx, PlanNodePtr node,
+            std::unique_ptr<RowStream> child, Body body)
+      : ctx_(ctx), node_(std::move(node)), child_(std::move(child)),
+        body_(std::move(body)) {}
 
   const SchemaPtr& schema() const override { return node_->output_schema; }
 
   Result<StreamChunk> Next() override {
     GISQL_ASSIGN_OR_RETURN(StreamChunk chunk, child_->Next());
-    RowBatch out(node_->output_schema);
-    for (auto& row : chunk.rows.rows()) {
-      GISQL_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*node_->filter, row));
-      if (keep) out.Append(std::move(row));
-    }
     chunk.elapsed_ms += CpuMs(ctx_, chunk.rows.num_rows());
-    chunk.rows = std::move(out);
+    GISQL_ASSIGN_OR_RETURN(
+        chunk.rows, body_(std::move(chunk.rows), chunk.columnar.get()));
+    chunk.columnar.reset();
     return chunk;
   }
 
@@ -217,40 +173,7 @@ class FilterStream : public RowStream {
   ExecContext ctx_;
   PlanNodePtr node_;
   std::unique_ptr<RowStream> child_;
-};
-
-class ProjectStream : public RowStream {
- public:
-  ProjectStream(const ExecContext& ctx, PlanNodePtr node,
-                std::unique_ptr<RowStream> child)
-      : ctx_(ctx), node_(std::move(node)), child_(std::move(child)) {}
-
-  const SchemaPtr& schema() const override { return node_->output_schema; }
-
-  Result<StreamChunk> Next() override {
-    GISQL_ASSIGN_OR_RETURN(StreamChunk chunk, child_->Next());
-    RowBatch out(node_->output_schema);
-    out.Reserve(chunk.rows.num_rows());
-    for (const auto& row : chunk.rows.rows()) {
-      Row projected;
-      projected.reserve(node_->projections.size());
-      for (const auto& p : node_->projections) {
-        GISQL_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, row));
-        projected.push_back(std::move(v));
-      }
-      out.Append(std::move(projected));
-    }
-    chunk.elapsed_ms += CpuMs(ctx_, chunk.rows.num_rows());
-    chunk.rows = std::move(out);
-    return chunk;
-  }
-
-  double Close() override { return child_->Close(); }
-
- private:
-  ExecContext ctx_;
-  PlanNodePtr node_;
-  std::unique_ptr<RowStream> child_;
+  Body body_;
 };
 
 /// Limit/offset over a child stream. The child is closed early when
@@ -316,9 +239,9 @@ class LimitStream : public RowStream {
 };
 
 /// Concatenates member streams in plan order, coercing member values
-/// to the union view's column types (row-wise, same semantics as the
-/// materializing executor). Members run one after another, so only one
-/// source cursor is staged at a time.
+/// to the union view's column types like the materializing executor.
+/// Members run one after another, so only one source cursor is staged
+/// at a time.
 class UnionStream : public RowStream {
  public:
   UnionStream(const ExecContext& ctx, PlanNodePtr node,
@@ -342,18 +265,10 @@ class UnionStream : public RowStream {
       if (in.rows.num_rows() == 0 && current_ < members_.size()) {
         continue;  // exhausted member's empty tail: move on silently
       }
-      const size_t width = node_->output_schema->num_fields();
       RowBatch out(node_->output_schema);
       out.Reserve(in.rows.num_rows());
-      for (auto& row : in.rows.rows()) {
-        for (size_t c = 0; c < width && c < row.size(); ++c) {
-          const TypeId want = node_->output_schema->field(c).type;
-          if (!row[c].is_null() && row[c].type() != want) {
-            GISQL_ASSIGN_OR_RETURN(row[c], row[c].CastTo(want));
-          }
-        }
-        out.Append(std::move(row));
-      }
+      GISQL_RETURN_NOT_OK(AppendUnionMember(*node_, std::move(in.rows),
+                                            in.columnar.get(), &out));
       chunk.elapsed_ms += CpuMs(ctx_, out.num_rows());
       chunk.rows = std::move(out);
       chunk.done = current_ >= members_.size();
@@ -443,15 +358,21 @@ Result<std::unique_ptr<RowStream>> Build(const ExecContext& ctx,
       GISQL_ASSIGN_OR_RETURN(
           std::unique_ptr<RowStream> child,
           Build(ctx, node->children[0], chunk_rows, next_token));
-      return std::unique_ptr<RowStream>(
-          new FilterStream(ctx, node, std::move(child)));
+      return std::unique_ptr<RowStream>(new MapStream(
+          ctx, node, std::move(child),
+          [node](RowBatch rows, const ColumnBatch* columnar) {
+            return FilterRows(*node, std::move(rows), columnar);
+          }));
     }
     case PlanKind::kProject: {
       GISQL_ASSIGN_OR_RETURN(
           std::unique_ptr<RowStream> child,
           Build(ctx, node->children[0], chunk_rows, next_token));
-      return std::unique_ptr<RowStream>(
-          new ProjectStream(ctx, node, std::move(child)));
+      return std::unique_ptr<RowStream>(new MapStream(
+          ctx, node, std::move(child),
+          [node](RowBatch rows, const ColumnBatch*) {
+            return ProjectRows(*node, rows);
+          }));
     }
     case PlanKind::kLimit: {
       GISQL_ASSIGN_OR_RETURN(

@@ -31,6 +31,10 @@ namespace gisql {
 /// \brief One increment of a streamed result, with its simulated cost.
 struct StreamChunk {
   RowBatch rows;
+  /// The chunk's rows as columns, when they crossed the wire columnar
+  /// and no operator has rewritten them since; vectorized kernels read
+  /// it.
+  std::shared_ptr<const ColumnBatch> columnar;
   /// True on the last chunk (which may still carry rows, or be empty
   /// for an empty result).
   bool done = false;

@@ -54,14 +54,6 @@ struct PlannerOptions {
   /// GlobalSystem and shared by every query.
   int worker_threads = 0;
 
-  /// Fetch fragments with the columnar wire encoding (off = classic
-  /// row encoding; results identical, bytes on the wire differ).
-  bool columnar_wire = true;
-
-  /// Run vectorized kernels over columnar fragment results at the
-  /// mediator (off = row-at-a-time everywhere; results identical).
-  bool vectorized_execution = true;
-
   /// \name Resource governance (src/sched/, DESIGN.md "Resource
   /// governance"). Environment overrides: see ApplyEnv().
   /// @{

@@ -497,26 +497,24 @@ Result<RowBatch> ComponentSource::ExecuteFragment(const FragmentPlan& frag,
     // carries the column types for the cheap eligibility check; a
     // value that does not fit its declared column type fails the
     // conversion and drops to the row path.
-    if (vectorized_execution_) {
-      const ColumnBatch probe(scan_schema);
-      std::vector<size_t> needed;
-      for (const auto& g : frag.group_by) g->CollectColumns(&needed);
-      for (const auto& a : frag.aggregates) {
-        if (a.arg) a.arg->CollectColumns(&needed);
-      }
-      if (CanVectorizeAggregate(frag.group_by, frag.aggregates, probe)) {
-        Result<ColumnBatch> cols =
-            ColumnBatch::FromRowPtrs(scan_schema, filtered, &needed);
-        if (cols.ok()) {
-          GISQL_ASSIGN_OR_RETURN(
-              RowBatch out,
-              HashAggregateColumnar(*cols, frag.group_by, frag.aggregates,
-                                    std::move(out_schema), agg_limit));
-          GISQL_RETURN_NOT_OK(SortAndLimit(&out, frag.order_by,
-                                           frag.order_ascending,
-                                           frag.limit));
-          return out;
-        }
+    const ColumnBatch probe(scan_schema);
+    std::vector<size_t> needed;
+    for (const auto& g : frag.group_by) g->CollectColumns(&needed);
+    for (const auto& a : frag.aggregates) {
+      if (a.arg) a.arg->CollectColumns(&needed);
+    }
+    if (CanVectorizeAggregate(frag.group_by, frag.aggregates, probe)) {
+      Result<ColumnBatch> cols =
+          ColumnBatch::FromRowPtrs(scan_schema, filtered, &needed);
+      if (cols.ok()) {
+        GISQL_ASSIGN_OR_RETURN(
+            RowBatch out,
+            HashAggregateColumnar(*cols, frag.group_by, frag.aggregates,
+                                  std::move(out_schema), agg_limit));
+        GISQL_RETURN_NOT_OK(SortAndLimit(&out, frag.order_by,
+                                         frag.order_ascending,
+                                         frag.limit));
+        return out;
       }
     }
     GISQL_ASSIGN_OR_RETURN(
@@ -974,23 +972,6 @@ Result<std::vector<uint8_t>> ComponentSource::Handle(
       return writer.Release();
     }
 
-    case wire::Opcode::kExecuteFragment: {
-      GISQL_ASSIGN_OR_RETURN(FragmentPlan frag, wire::ReadFragment(&reader));
-      const BufferPoolStats pool_before = engine_.pool().Snapshot();
-      int64_t rows_scanned = 0;
-      GISQL_ASSIGN_OR_RETURN(RowBatch batch,
-                             ExecuteFragment(frag, &rows_scanned));
-      const FragmentPageStats pages = PageStatsSince(pool_before);
-      if (processing_ms != nullptr) {
-        *processing_ms =
-            static_cast<double>(rows_scanned) * cpu_us_per_row_ / 1e3 +
-            pages.disk_us / 1e3;
-      }
-      wire::WriteBatch(&writer, batch);
-      WritePageStatsTrailer(&writer, pages);
-      return writer.Release();
-    }
-
     case wire::Opcode::kExecuteFragmentColumnar: {
       GISQL_ASSIGN_OR_RETURN(FragmentPlan frag, wire::ReadFragment(&reader));
       const BufferPoolStats pool_before = engine_.pool().Snapshot();
@@ -1003,17 +984,7 @@ Result<std::vector<uint8_t>> ComponentSource::Handle(
             static_cast<double>(rows_scanned) * cpu_us_per_row_ / 1e3 +
             pages.disk_us / 1e3;
       }
-      // Columnar when every row fits its declared column type; row
-      // encoding otherwise (e.g. an expression whose value type differs
-      // from the projected column's declared type).
-      Result<ColumnBatch> columnar = ColumnBatch::FromRows(batch);
-      if (columnar.ok()) {
-        writer.PutU8(wire::kBatchFormatColumnar);
-        wire::WriteColumnBatch(&writer, *columnar);
-      } else {
-        writer.PutU8(wire::kBatchFormatRow);
-        wire::WriteBatch(&writer, batch);
-      }
+      wire::WriteResultBatch(&writer, batch);
       WritePageStatsTrailer(&writer, pages);
       return writer.Release();
     }

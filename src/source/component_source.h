@@ -145,11 +145,6 @@ class ComponentSource : public RpcHandler {
   Status LoadSnapshot(const std::string& path);
   /// @}
 
-  /// \brief A/B toggle for the vectorized partial-aggregation path
-  /// (on by default; results are identical either way).
-  void set_vectorized_execution(bool on) { vectorized_execution_ = on; }
-  bool vectorized_execution() const { return vectorized_execution_; }
-
   /// \brief Cursors currently staged at this source (tests/monitoring).
   ///
   /// A cursor holds a fragment's materialized result while the mediator
@@ -165,7 +160,6 @@ class ComponentSource : public RpcHandler {
   SourceDialect dialect_;
   SourceCapabilities caps_;
   double cpu_us_per_row_;
-  bool vectorized_execution_ = true;
   StorageEngine engine_;
 
   /// \brief Per-fragment buffer-pool deltas (shipped to the mediator as

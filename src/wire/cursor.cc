@@ -1,6 +1,5 @@
 #include "wire/cursor.h"
 
-#include "wire/protocol.h"
 #include "wire/serde.h"
 
 namespace gisql {
@@ -63,14 +62,7 @@ void WriteCursorChunk(ByteWriter* w, uint64_t cursor_id, uint64_t seq,
   w->PutVarint(cursor_id);
   w->PutVarint(seq);
   w->PutBool(done);
-  Result<ColumnBatch> columnar = ColumnBatch::FromRows(rows);
-  if (columnar.ok()) {
-    w->PutU8(kBatchFormatColumnar);
-    WriteColumnBatch(w, *columnar);
-  } else {
-    w->PutU8(kBatchFormatRow);
-    WriteBatch(w, rows);
-  }
+  WriteResultBatch(w, rows);
 }
 
 Result<CursorChunk> ReadCursorChunk(ByteReader* r) {
@@ -78,17 +70,7 @@ Result<CursorChunk> ReadCursorChunk(ByteReader* r) {
   GISQL_ASSIGN_OR_RETURN(chunk.cursor_id, r->GetVarint());
   GISQL_ASSIGN_OR_RETURN(chunk.seq, r->GetVarint());
   GISQL_ASSIGN_OR_RETURN(chunk.done, r->GetBool());
-  GISQL_ASSIGN_OR_RETURN(uint8_t format, r->GetU8());
-  if (format == kBatchFormatColumnar) {
-    GISQL_ASSIGN_OR_RETURN(ColumnBatch cols, ReadColumnBatch(r));
-    chunk.rows = cols.ToRows();
-    chunk.columnar = std::make_shared<const ColumnBatch>(std::move(cols));
-  } else if (format == kBatchFormatRow) {
-    GISQL_ASSIGN_OR_RETURN(chunk.rows, ReadBatch(r));
-  } else {
-    return Status::SerializationError("bad cursor chunk format byte ",
-                                      int(format));
-  }
+  GISQL_ASSIGN_OR_RETURN(chunk.batch, ReadResultBatch(r));
   return chunk;
 }
 

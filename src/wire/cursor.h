@@ -17,9 +17,8 @@
 ///     transport cannot duplicate or skip rows.
 ///   - CursorChunk answers with the cursor id, the chunk's sequence
 ///     number, a `done` flag (no chunk follows this one), and the rows
-///     in either wire encoding (columnar when they fit their declared
-///     column types, rows otherwise — same fallback as
-///     kExecuteFragmentColumnar).
+///     as a result batch (wire/serde.h), the same encoding a whole
+///     fragment result travels in.
 ///
 /// Decoding is fully bounds-checked with the same allocation guards as
 /// the batch serde; malformed input yields SerializationError, never UB.
@@ -27,14 +26,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/result.h"
 #include "source/fragment.h"
-#include "types/column_batch.h"
 #include "types/row.h"
+#include "wire/serde.h"
 
 namespace gisql {
 namespace wire {
@@ -80,10 +78,7 @@ struct CursorChunk {
   uint64_t seq = 0;
   /// True when no chunk follows this one (this chunk may be empty).
   bool done = false;
-  RowBatch rows;
-  /// Set when the chunk crossed the wire columnar (same rows as
-  /// `rows`); downstream vectorized kernels can use it directly.
-  std::shared_ptr<const ColumnBatch> columnar;
+  ResultBatch batch;
 };
 
 /// \name Request serde
@@ -103,14 +98,10 @@ Result<CloseCursorRequest> ReadCloseCursorRequest(ByteReader* r);
 void WriteOpenCursorResponse(ByteWriter* w, const OpenCursorResponse& resp);
 Result<OpenCursorResponse> ReadOpenCursorResponse(ByteReader* r);
 
-/// \brief Encodes a chunk, preferring the columnar batch encoding and
-/// falling back to rows when the values do not fit their declared
-/// column types (the kExecuteFragmentColumnar convention).
+/// \brief Encodes a chunk; the rows travel as a result batch.
 void WriteCursorChunk(ByteWriter* w, uint64_t cursor_id, uint64_t seq,
                       bool done, const RowBatch& rows);
 
-/// \brief Decodes a chunk; `columnar` is populated when the wire
-/// carried the columnar encoding.
 Result<CursorChunk> ReadCursorChunk(ByteReader* r);
 /// @}
 

@@ -19,15 +19,12 @@ enum class Opcode : uint8_t {
   kListTables = 2,       ///< → string list
   kGetSchema = 3,        ///< payload: table name → schema
   kGetStats = 4,         ///< payload: table name → serialized stats
-  kExecuteFragment = 5,  ///< payload: FragmentPlan → row batch
   kAdminSql = 6,         ///< payload: DDL/DML text → empty (admin channel)
   kTxnPrepare = 7,       ///< payload: txn id + stmt seq + INSERT sql → empty
   kTxnCommit = 8,        ///< payload: txn id → empty (apply staged rows)
   kTxnAbort = 9,         ///< payload: txn id → empty (drop staged rows)
-  /// payload: FragmentPlan → format byte (see kBatchFormat*) + batch.
-  /// Like kExecuteFragment, but the source answers with a columnar
-  /// batch when the fragment's rows fit their declared column types,
-  /// and falls back to the row encoding otherwise.
+  /// payload: FragmentPlan → wire::WriteResultBatch(result) + page-stats
+  /// trailer. The only opcode that executes a fragment.
   kExecuteFragmentColumnar = 10,
   /// \name Cursor-based streaming (wire/cursor.h carries the payloads)
   ///
@@ -51,12 +48,6 @@ enum class Opcode : uint8_t {
   /// WAN instead of a per-row INSERT storm.
   kBulkLoad = 14,
 };
-
-/// \name Batch format bytes of kExecuteFragmentColumnar responses
-/// @{
-constexpr uint8_t kBatchFormatRow = 0;       ///< wire::ReadBatch follows
-constexpr uint8_t kBatchFormatColumnar = 1;  ///< wire::ReadColumnBatch follows
-/// @}
 
 /// \brief Encodes a response frame: ok flag, then either an error
 /// (code + message) or the payload bytes.

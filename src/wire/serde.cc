@@ -306,6 +306,39 @@ Result<ColumnBatch> ReadColumnBatch(ByteReader* r) {
   return batch;
 }
 
+namespace {
+// Format byte leading a result batch.
+constexpr uint8_t kBatchFormatRow = 0;       // ReadBatch follows
+constexpr uint8_t kBatchFormatColumnar = 1;  // ReadColumnBatch follows
+}  // namespace
+
+void WriteResultBatch(ByteWriter* w, const RowBatch& rows) {
+  Result<ColumnBatch> columnar = ColumnBatch::FromRows(rows);
+  if (columnar.ok()) {
+    w->PutU8(kBatchFormatColumnar);
+    WriteColumnBatch(w, *columnar);
+  } else {
+    w->PutU8(kBatchFormatRow);
+    WriteBatch(w, rows);
+  }
+}
+
+Result<ResultBatch> ReadResultBatch(ByteReader* r) {
+  ResultBatch result;
+  GISQL_ASSIGN_OR_RETURN(uint8_t format, r->GetU8());
+  if (format == kBatchFormatColumnar) {
+    GISQL_ASSIGN_OR_RETURN(ColumnBatch cols, ReadColumnBatch(r));
+    result.rows = cols.ToRows();
+    result.columnar = std::make_shared<ColumnBatch>(std::move(cols));
+  } else if (format == kBatchFormatRow) {
+    GISQL_ASSIGN_OR_RETURN(result.rows, ReadBatch(r));
+  } else {
+    return Status::SerializationError("bad batch format byte ",
+                                      int(format));
+  }
+  return result;
+}
+
 void WriteExpr(ByteWriter* w, const Expr& e) {
   w->PutU8(static_cast<uint8_t>(e.kind));
   w->PutU8(static_cast<uint8_t>(e.type));

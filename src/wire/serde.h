@@ -9,6 +9,8 @@
 
 #pragma once
 
+#include <memory>
+
 #include "common/bytes.h"
 #include "expr/binder.h"
 #include "expr/expr.h"
@@ -51,6 +53,26 @@ Result<RowBatch> ReadBatch(ByteReader* r);
 /// @{
 void WriteColumnBatch(ByteWriter* w, const ColumnBatch& batch);
 Result<ColumnBatch> ReadColumnBatch(ByteReader* r);
+/// @}
+
+/// \name Result batches (format byte + row or column batch)
+///
+/// How a source ships a fragment's result, whole or one cursor chunk
+/// at a time: columnar when every row fits its declared column types,
+/// the row encoding otherwise (e.g. an expression whose value type
+/// differs from the projected column's declared type).
+/// @{
+
+/// \brief A decoded result batch.
+struct ResultBatch {
+  RowBatch rows;
+  /// The columns `rows` were decoded from, when the batch crossed the
+  /// wire columnar; vectorized kernels read it directly.
+  std::shared_ptr<ColumnBatch> columnar;
+};
+
+void WriteResultBatch(ByteWriter* w, const RowBatch& rows);
+Result<ResultBatch> ReadResultBatch(ByteReader* r);
 /// @}
 
 /// \name Bound expressions

@@ -163,25 +163,6 @@ TEST(PoolDifferential, PoolConfigsMatchSerialExactly) {
   EXPECT_EQ(transcripts[0], transcripts[2]) << "serial vs pool4";
 }
 
-TEST(PoolDifferential, RowWireAndScalarKernelsMatchRows) {
-  GlobalSystem modern;  // defaults: columnar wire + vectorized kernels
-  ASSERT_TRUE(BuildRetailFederation(&modern, SmallSpec()).ok());
-
-  PlannerOptions classic_options;
-  classic_options.columnar_wire = false;
-  classic_options.vectorized_execution = false;
-  GlobalSystem classic(classic_options);
-  ASSERT_TRUE(BuildRetailFederation(&classic, SmallSpec()).ok());
-
-  for (const auto& q : Corpus()) {
-    auto a = modern.Query(q);
-    auto b = classic.Query(q);
-    ASSERT_TRUE(a.ok()) << a.status().ToString() << " for: " << q;
-    ASSERT_TRUE(b.ok()) << b.status().ToString() << " for: " << q;
-    EXPECT_EQ(Rows(*a), Rows(*b)) << q;
-  }
-}
-
 /// The chaos differential with the pool on: thread scheduling may
 /// reorder messages between links, so replay identity is a serial-only
 /// property — but no schedule may ever produce a wrong answer or an

@@ -93,9 +93,9 @@ TEST(CursorWireTest, ChunkRoundTripsOverRandomShapes) {
     EXPECT_EQ(chunk->cursor_id, cursor_id);
     EXPECT_EQ(chunk->seq, seq);
     EXPECT_EQ(chunk->done, done);
-    ASSERT_EQ(chunk->rows.num_rows(), batch.num_rows());
-    EXPECT_EQ(chunk->rows.ToString(1 << 20), batch.ToString(1 << 20));
-    if (chunk->columnar != nullptr) {
+    ASSERT_EQ(chunk->batch.rows.num_rows(), batch.num_rows());
+    EXPECT_EQ(chunk->batch.rows.ToString(1 << 20), batch.ToString(1 << 20));
+    if (chunk->batch.columnar != nullptr) {
       ++columnar_frames;
     } else {
       ++row_frames;

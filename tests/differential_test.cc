@@ -174,22 +174,13 @@ TEST_P(DifferentialTest, AggregatesMatchDirectEvaluation) {
 
 /// Streamed delivery is a transport, not a semantics change: for every
 /// random predicate, the concatenation of a cursor's chunks must equal
-/// the materialized result byte-for-byte (ToString over all rows), in
-/// every execution configuration — serial and pooled execution, with
-/// the columnar wire encoding on and off.
+/// the materialized result byte-for-byte (ToString over all rows),
+/// with serial and with pooled execution.
 TEST_P(DifferentialTest, StreamedChunksConcatenateToMaterializedResult) {
-  struct Config {
-    bool parallel;
-    bool columnar;
-  };
-  const Config configs[] = {
-      {false, true}, {false, false}, {true, true}, {true, false}};
-
-  for (const Config& config : configs) {
+  for (const bool parallel : {false, true}) {
     Rng rng(GetParam() + 9000);  // same data in every configuration
     PlannerOptions options;
-    options.parallel_execution = config.parallel;
-    options.columnar_wire = config.columnar;
+    options.parallel_execution = parallel;
     GlobalSystem gis(options);
     auto src = *gis.CreateSource("s1", SourceDialect::kRelational);
     ASSERT_TRUE(src->ExecuteLocalSql(
@@ -244,8 +235,7 @@ TEST_P(DifferentialTest, StreamedChunksConcatenateToMaterializedResult) {
         if (chunk->done) break;
       }
       EXPECT_EQ(got.ToString(1 << 20), want->batch.ToString(1 << 20))
-          << sql << " (parallel=" << config.parallel
-          << " columnar=" << config.columnar
+          << sql << " (parallel=" << parallel
           << " chunk_rows=" << copts.chunk_rows << ")";
     }
     EXPECT_EQ(gis.cursors().OpenCount(), 0u);

@@ -1,12 +1,17 @@
 /// Unit tests for execution components: aggregate accumulators, hash
-/// aggregation, and executor edge behavior (semijoin fallback, union
-/// coercion, sort stability, distinct, workload generator determinism).
+/// aggregation, executor edge behavior (semijoin fallback, union
+/// coercion, sort stability, distinct, workload generator determinism),
+/// and the vectorized kernels against the row evaluator.
 
 #include <gtest/gtest.h>
+
+#include <random>
 
 #include "core/global_system.h"
 #include "exec/aggregate.h"
 #include "exec/hash_aggregate.h"
+#include "exec/vectorized.h"
+#include "expr/eval.h"
 #include "workload/generator.h"
 
 namespace gisql {
@@ -343,6 +348,205 @@ TEST_F(ExecBehaviorTest, ParallelAndSerialExecutionAgreeExactly) {
     EXPECT_EQ(p->metrics.bytes_received, s->metrics.bytes_received) << q;
     EXPECT_EQ(p->metrics.messages, s->metrics.messages) << q;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Kernel differential: the row evaluator is the reference for every
+// vectorized kernel the executors pick when a batch arrived columnar.
+// ---------------------------------------------------------------------------
+
+/// Every value type; two int columns so keys and comparisons can mix.
+const std::vector<Field>& KernelFields() {
+  static const std::vector<Field> fields = {
+      {"b", TypeId::kBool},   {"i", TypeId::kInt64},
+      {"j", TypeId::kInt64},  {"d", TypeId::kDouble},
+      {"s", TypeId::kString}, {"t", TypeId::kDate}};
+  return fields;
+}
+constexpr size_t kB = 0, kI = 1, kJ = 2, kD = 3, kS = 4, kT = 5;
+
+ExprPtr KCol(size_t i) {
+  return MakeColumn(i, KernelFields()[i].type, KernelFields()[i].name);
+}
+
+/// One cell in four is NULL; small domains make groups and ties
+/// common, and integral doubles hit the int/double hash equivalence.
+Value KernelCell(std::mt19937_64& rng, TypeId type) {
+  if (rng() % 4 == 0) return Value::Null(type);
+  switch (type) {
+    case TypeId::kBool:
+      return Value::Bool(rng() % 2 == 0);
+    case TypeId::kInt64:
+      return Value::Int(static_cast<int64_t>(rng() % 7) - 3);
+    case TypeId::kDouble:
+      return Value::Double(static_cast<double>(rng() % 13) / 2 - 3);
+    case TypeId::kString:
+      return Value::String(
+          std::string(1 + rng() % 2, static_cast<char>('a' + rng() % 3)));
+    default:
+      return Value::Date(static_cast<int64_t>(rng() % 5));
+  }
+}
+
+RowBatch KernelBatch(std::mt19937_64& rng) {
+  RowBatch batch(std::make_shared<Schema>(KernelFields()));
+  const size_t n = rng() % 64;  // the empty batch included
+  for (size_t r = 0; r < n; ++r) {
+    Row row;
+    for (const Field& f : KernelFields()) {
+      row.push_back(KernelCell(rng, f.type));
+    }
+    batch.Append(std::move(row));
+  }
+  return batch;
+}
+
+/// A comparison, IS [NOT] NULL, IN or LIKE leaf over comparable types.
+ExprPtr KernelLeaf(std::mt19937_64& rng) {
+  const CompareOp op = static_cast<CompareOp>(rng() % 6);
+  const size_t numeric[] = {kI, kJ, kD};
+  switch (rng() % 8) {
+    case 0:
+      return MakeCompare(op, KCol(numeric[rng() % 3]),
+                         KCol(numeric[rng() % 3]));
+    case 1:
+      return MakeCompare(op, KCol(numeric[rng() % 3]),
+                         MakeLiteral(KernelCell(rng, TypeId::kInt64)));
+    case 2:
+      return MakeCompare(
+          op,
+          MakeArith(static_cast<ArithOp>(rng() % 3), KCol(kI), KCol(kD)),
+          MakeLiteral(KernelCell(rng, TypeId::kDouble)));
+    case 3:
+      return MakeCompare(op, KCol(kS),
+                         MakeLiteral(KernelCell(rng, TypeId::kString)));
+    case 4:
+      return MakeCompare(op, KCol(kT),
+                         MakeLiteral(KernelCell(rng, TypeId::kDate)));
+    case 5:
+      return MakeIsNull(KCol(rng() % KernelFields().size()), rng() % 2 == 0);
+    case 6: {
+      auto in = std::make_shared<Expr>(ExprKind::kIn);
+      in->type = TypeId::kBool;
+      in->negated = rng() % 2 == 0;
+      in->children.push_back(KCol(kI));
+      for (int k = 0; k < 3; ++k) {
+        in->children.push_back(MakeLiteral(KernelCell(rng, TypeId::kInt64)));
+      }
+      return in;
+    }
+    default: {
+      auto like = std::make_shared<Expr>(ExprKind::kLike);
+      like->type = TypeId::kBool;
+      like->negated = rng() % 2 == 0;
+      const char* patterns[] = {"a%", "%b", "_", "c_", "%"};
+      like->children = {KCol(kS), MakeLiteral(Value::String(
+                                      patterns[rng() % 5]))};
+      return like;
+    }
+  }
+}
+
+ExprPtr KernelPredicate(std::mt19937_64& rng, int depth) {
+  switch (depth > 0 ? rng() % 5 : 0) {
+    case 0:
+      return KernelLeaf(rng);
+    case 1:
+      return MakeNot(KernelPredicate(rng, depth - 1));
+    case 2:
+      return KCol(kB);
+    default:
+      return MakeLogic(rng() % 2 == 0 ? LogicOp::kAnd : LogicOp::kOr,
+                       KernelPredicate(rng, depth - 1),
+                       KernelPredicate(rng, depth - 1));
+  }
+}
+
+TEST(KernelDifferential, ColumnarKernelsMatchRowEvaluator) {
+  std::mt19937_64 rng(20261018);
+  int predicates = 0, aggregates = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    const RowBatch batch = KernelBatch(rng);
+    Result<ColumnBatch> cols = ColumnBatch::FromRows(batch);
+    ASSERT_TRUE(cols.ok()) << cols.status().ToString();
+
+    // Filter: the selection vector keeps exactly the rows the row
+    // evaluator keeps.
+    const ExprPtr pred = KernelPredicate(rng, 3);
+    ASSERT_TRUE(IsVectorizablePredicate(*pred, *cols)) << pred->ToString();
+    std::vector<uint32_t> want_sel;
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
+      auto keep = EvalPredicate(*pred, batch.rows()[r]);
+      ASSERT_TRUE(keep.ok()) << pred->ToString();
+      if (*keep) want_sel.push_back(static_cast<uint32_t>(r));
+    }
+    auto col_pred = EvalPredicateColumnar(*pred, *cols);
+    ASSERT_TRUE(col_pred.ok()) << col_pred.status().ToString();
+    EXPECT_EQ(SelectTrue(col_pred->get(), cols->num_rows()), want_sel)
+        << pred->ToString();
+    ++predicates;
+
+    // Join/group hashing: one hash per row, cell for cell.
+    std::vector<size_t> keys;
+    for (size_t c = 0; c < KernelFields().size(); ++c) {
+      if (rng() % 3 == 0) keys.push_back(c);
+    }
+    if (keys.empty()) keys.push_back(rng() % KernelFields().size());
+    const std::vector<uint64_t> hashes = HashKeysColumnar(*cols, keys);
+    ASSERT_EQ(hashes.size(), batch.num_rows());
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
+      EXPECT_EQ(hashes[r], HashRowKeys(batch.rows()[r], keys)) << "row " << r;
+    }
+
+    // Aggregation: identical output whenever the columnar kernel may run.
+    std::vector<ExprPtr> group_by;
+    const size_t group_cols[] = {kB, kI, kD, kS, kT};
+    for (size_t g = rng() % 3; g > 0; --g) {
+      group_by.push_back(
+          rng() % 4 == 0
+              ? MakeArith(ArithOp::kMod, KCol(kJ),
+                          MakeLiteral(Value::Int(2)))
+              : KCol(group_cols[rng() % 5]));
+    }
+    std::vector<BoundAggregate> aggs;
+    std::vector<Field> out_fields;
+    for (const auto& g : group_by) {
+      out_fields.emplace_back(g->ToString(), g->type);
+    }
+    for (size_t a = 1 + rng() % 3; a > 0; --a) {
+      BoundAggregate agg;
+      agg.kind = static_cast<AggKind>(rng() % 6);
+      agg.distinct = rng() % 8 == 0;
+      const size_t numeric[] = {kI, kJ, kD};
+      const size_t c = agg.kind == AggKind::kSum || agg.kind == AggKind::kAvg
+                           ? numeric[rng() % 3]
+                           : rng() % KernelFields().size();
+      if (agg.kind != AggKind::kCountStar) agg.arg = KCol(c);
+      agg.result_type =
+          agg.kind == AggKind::kCountStar || agg.kind == AggKind::kCount
+              ? TypeId::kInt64
+          : agg.kind == AggKind::kAvg ? TypeId::kDouble
+                                      : KernelFields()[c].type;
+      agg.display = "agg" + std::to_string(aggs.size());
+      out_fields.emplace_back(agg.display, agg.result_type);
+      aggs.push_back(std::move(agg));
+    }
+    if (!CanVectorizeAggregate(group_by, aggs, *cols)) continue;
+    auto out_schema = std::make_shared<Schema>(std::move(out_fields));
+    std::vector<const Row*> rows;
+    for (const auto& row : batch.rows()) rows.push_back(&row);
+    auto want = HashAggregate(rows, group_by, aggs, out_schema);
+    auto got = HashAggregateColumnar(*cols, group_by, aggs, out_schema);
+    ASSERT_EQ(got.ok(), want.ok())
+        << (want.ok() ? got.status() : want.status()).ToString();
+    if (want.ok()) {
+      EXPECT_EQ(got->ToString(1 << 20), want->ToString(1 << 20));
+      ++aggregates;
+    }
+  }
+  // The generators must keep exercising the kernels, not the gates.
+  EXPECT_EQ(predicates, 300);
+  EXPECT_GT(aggregates, 150);
 }
 
 }  // namespace

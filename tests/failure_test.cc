@@ -156,8 +156,7 @@ class WrongArityHandler : public RpcHandler {
     RowBatch batch(schema);
     batch.Append({Value::Int(1), Value::Int(2)});
     ByteWriter w;
-    w.PutU8(wire::kBatchFormatRow);
-    wire::WriteBatch(&w, batch);
+    wire::WriteResultBatch(&w, batch);
     return w.Release();
   }
 };
@@ -180,6 +179,55 @@ TEST(ByzantineTest, ArityMismatchDetected) {
   auto result = gis.Query("SELECT * FROM lies");
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsExecutionError());
+}
+
+/// A real source whose fragment results and cursor chunks carry one
+/// junk byte past their end (after the page-stats trailer, if any).
+class TrailingByteHandler : public RpcHandler {
+ public:
+  explicit TrailingByteHandler(RpcHandler* inner) : inner_(inner) {}
+
+  Result<std::vector<uint8_t>> Handle(uint8_t opcode,
+                                      const std::vector<uint8_t>& request,
+                                      double* processing_ms) override {
+    GISQL_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
+                           inner_->Handle(opcode, request, processing_ms));
+    if (opcode ==
+            static_cast<uint8_t>(wire::Opcode::kExecuteFragmentColumnar) ||
+        opcode == static_cast<uint8_t>(wire::Opcode::kFetchChunk)) {
+      payload.push_back(0x5a);
+    }
+    return payload;
+  }
+
+ private:
+  RpcHandler* inner_;
+};
+
+TEST(ByzantineTest, TrailingBytesAfterResultAreRejected) {
+  GlobalSystem gis;
+  ComponentSource* src = *gis.CreateSource("s1", SourceDialect::kRelational);
+  ASSERT_TRUE(src->ExecuteLocalSql("CREATE TABLE t (id bigint)").ok());
+  ASSERT_TRUE(src->ExecuteLocalSql("INSERT INTO t VALUES (1), (2)").ok());
+  ASSERT_TRUE(gis.ImportSource("s1").ok());
+  TrailingByteHandler junk(src);
+  ASSERT_TRUE(gis.network().UnregisterHost("s1").ok());
+  ASSERT_TRUE(gis.network().RegisterHost("s1", &junk).ok());
+
+  auto result = gis.Query("SELECT id FROM t");
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsSerializationError())
+      << result.status().ToString();
+
+  auto cursor = gis.OpenCursor("SELECT id FROM t");
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  auto chunk = gis.FetchChunk(*cursor);
+  ASSERT_FALSE(chunk.ok());
+  EXPECT_TRUE(chunk.status().IsSerializationError())
+      << chunk.status().ToString();
+
+  ASSERT_TRUE(gis.network().UnregisterHost("s1").ok());
+  ASSERT_TRUE(gis.network().RegisterHost("s1", src).ok());
 }
 
 class DegenerateDataTest : public ::testing::Test {

@@ -330,8 +330,8 @@ TEST_P(CursorFuzz, MutatedCursorFramesNeverCrash) {
         EXPECT_TRUE(chunk.status().IsSerializationError())
             << chunk.status().ToString() << " trial " << trial;
       } else {
-        (void)chunk->rows.ToString(1 << 20);
-        if (chunk->columnar) (void)chunk->columnar->ToRows();
+        (void)chunk->batch.rows.ToString(1 << 20);
+        if (chunk->batch.columnar) (void)chunk->batch.columnar->ToRows();
       }
     }
   }

@@ -391,13 +391,14 @@ TEST(SourceRpcTest, FullProtocolOverSimNet) {
   frag.table = "orders";
   frag.filter = BindOnOrders(src, "id < 10");
   auto frag_resp = net.Call(
-      "mediator", "s1", static_cast<uint8_t>(wire::Opcode::kExecuteFragment),
+      "mediator", "s1",
+      static_cast<uint8_t>(wire::Opcode::kExecuteFragmentColumnar),
       wire::SerializeFragment(frag));
   ASSERT_TRUE(frag_resp.ok()) << frag_resp.status().ToString();
   ByteReader br(frag_resp->payload);
-  auto batch = wire::ReadBatch(&br);
+  auto batch = wire::ReadResultBatch(&br);
   ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(batch->num_rows(), 10u);
+  EXPECT_EQ(batch->rows.num_rows(), 10u);
 
   // Unknown table error propagates across the wire.
   ByteWriter bad;
@@ -437,12 +438,10 @@ TEST(SourceRpcTest, ProcessingTimeScalesWithRows) {
   count_frag.aggregates = {count};
   const auto payload = wire::SerializeFragment(count_frag);
 
-  auto r_small = net.Call(
-      "m", "s1", static_cast<uint8_t>(wire::Opcode::kExecuteFragment),
-      payload);
-  auto r_big = net.Call(
-      "m", "s2", static_cast<uint8_t>(wire::Opcode::kExecuteFragment),
-      payload);
+  const auto opcode =
+      static_cast<uint8_t>(wire::Opcode::kExecuteFragmentColumnar);
+  auto r_small = net.Call("m", "s1", opcode, payload);
+  auto r_big = net.Call("m", "s2", opcode, payload);
   ASSERT_TRUE(r_small.ok());
   ASSERT_TRUE(r_big.ok());
   // Both responses are one aggregate row, so the elapsed difference is

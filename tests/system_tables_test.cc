@@ -385,7 +385,7 @@ TEST_F(SystemTablesTest, PrometheusExportValidatesAndCoversRegistries) {
   EXPECT_NE(text.find("# TYPE gisql_query_count counter"),
             std::string::npos)
       << text.substr(0, 500);
-  EXPECT_NE(text.find("# TYPE gisql_net_net_rpc_ms histogram"),
+  EXPECT_NE(text.find("# TYPE gisql_net_rpc_ms histogram"),
             std::string::npos);
   EXPECT_NE(text.find("gisql_source_state{source=\"hq\"} 0"),
             std::string::npos);
