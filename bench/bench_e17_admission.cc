@@ -95,13 +95,13 @@ double Percentile(std::vector<double> v, double p) {
 RungResult Rung(double multiplier, double service_ms, bool controlled) {
   PlannerOptions options;
   options.parallel_execution = false;
-  options.max_concurrent_queries = 2;
+  options.admission.max_concurrent = 2;
   if (controlled) {
-    options.admission_queue_limit = 8;
-    options.admission_max_wait_ms = 4.0 * service_ms;
+    options.admission.queue_limit = 8;
+    options.admission.max_wait_ms = 4.0 * service_ms;
   } else {
-    options.admission_queue_limit = 1 << 20;
-    options.admission_max_wait_ms = 1e18;
+    options.admission.queue_limit = 1 << 20;
+    options.admission.max_wait_ms = 1e18;
   }
   GlobalSystem gis(options);
   if (!BuildRetailFederation(&gis, Spec()).ok()) std::abort();
@@ -110,7 +110,7 @@ RungResult Rung(double multiplier, double service_ms, bool controlled) {
   // with a seeded ±25% spacing jitter so arrivals are not metronomic.
   const int n = Scaled(240, 32);
   const double mean_gap =
-      service_ms / (options.max_concurrent_queries * multiplier);
+      service_ms / (options.admission.max_concurrent * multiplier);
   RungResult out;
   out.offered = n;
   std::vector<double> sojourns;
@@ -194,9 +194,9 @@ void BreakerFailoverCost() {
     PlannerOptions options;
     options.parallel_execution = false;
     options.health_aware_routing = false;  // isolate the breaker's effect
-    options.circuit_breaker = breaker;
-    options.breaker_open_failures = 3;
-    options.breaker_cooldown_skips = 1 << 20;  // hold it open for the run
+    options.breaker.enabled = breaker;
+    options.breaker.open_after = 3;
+    options.breaker.cooldown_skips = 1 << 20;  // hold it open for the run
     GlobalSystem gis(options);
     for (int i = 0; i < 2; ++i) {
       const std::string name = "replica" + std::to_string(i);

@@ -104,9 +104,9 @@ ScenarioSpec MakeScenario(double multiplier, double service_ms,
 ScenarioReport RunRung(double multiplier, double service_ms, bool streamed) {
   PlannerOptions options;
   options.parallel_execution = false;
-  options.max_concurrent_queries = 2;
-  options.admission_queue_limit = 8;
-  options.admission_max_wait_ms = 4.0 * service_ms;
+  options.admission.max_concurrent = 2;
+  options.admission.queue_limit = 8;
+  options.admission.max_wait_ms = 4.0 * service_ms;
   options.cursor_max_open = 8;
   GlobalSystem gis(options);
   if (!BuildRetailFederation(&gis, FederationSpec()).ok()) std::abort();

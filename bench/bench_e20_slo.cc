@@ -127,9 +127,9 @@ std::string FormatAlerts(const std::vector<SloAlert>& alerts) {
 RunOutput RunOnce(double service_ms, bool pooled) {
   PlannerOptions options;
   options.parallel_execution = pooled;
-  options.max_concurrent_queries = 2;
-  options.admission_queue_limit = 8;
-  options.admission_max_wait_ms = 4.0 * service_ms;
+  options.admission.max_concurrent = 2;
+  options.admission.queue_limit = 8;
+  options.admission.max_wait_ms = 4.0 * service_ms;
   GlobalSystem gis(options);
   if (!BuildRetailFederation(&gis, FederationSpec()).ok()) std::abort();
 

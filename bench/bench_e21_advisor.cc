@@ -69,14 +69,14 @@ ScenarioSpec MakeScenario() {
 PlannerOptions BaseOptions(bool advisor_on, bool pooled) {
   PlannerOptions options;
   options.parallel_execution = pooled;
-  options.max_concurrent_queries = 8;
-  options.admission_queue_limit = 64;
-  options.admission_max_wait_ms = 500.0;
-  options.advisor_enabled = advisor_on;
-  options.advisor_interval_ms = 100.0;
-  options.advisor_window_ms = 1000.0;
-  options.advisor_hot_threshold = 14;
-  options.advisor_min_gain_ms = 1.0;
+  options.admission.max_concurrent = 8;
+  options.admission.queue_limit = 64;
+  options.admission.max_wait_ms = 500.0;
+  options.advisor.enabled = advisor_on;
+  options.advisor.interval_ms = 100.0;
+  options.advisor.window_ms = 1000.0;
+  options.advisor.hot_threshold = 14;
+  options.advisor.min_gain_ms = 1.0;
   return options;
 }
 

@@ -218,33 +218,34 @@ void Advisor::RunTune(double now_ms) {
       break;  // Snapshot order is deterministic; first suffices
     }
   }
-  const AdmissionConfig a = governor_->admission().config();
+  const QueueWatermarks w = governor_->admission().watermarks();
+  const QueueWatermarks defaults;
   if (is_burning) {
     healthy_ticks_ = 0;
     const auto [bg, norm] = governor_->SetAdmissionWatermarks(
-        a.watermark_background * 0.5, a.watermark_normal * 0.75);
-    if (bg != a.watermark_background || norm != a.watermark_normal) {
+        w.background * 0.5, w.normal * 0.75);
+    if (bg != w.background || norm != w.normal) {
       ++counters_.tunings;
       Record(now_ms, "tune-admission", "admission",
              "slo=" + burning.name + " fast_burn=" + Fmt(burning.fast_burn) +
                  " slow_burn=" + Fmt(burning.slow_burn) + " alerting=1",
-             "watermarks " + Fmt(a.watermark_background) + "/" +
-                 Fmt(a.watermark_normal) + " -> " + Fmt(bg) + "/" + Fmt(norm),
+             "watermarks " + Fmt(w.background) + "/" + Fmt(w.normal) +
+                 " -> " + Fmt(bg) + "/" + Fmt(norm),
              Status::OK());
     }
-  } else if (a.watermark_background < 0.5 || a.watermark_normal < 0.8) {
+  } else if (w.background < defaults.background ||
+             w.normal < defaults.normal) {
     if (++healthy_ticks_ >= config_.cold_ticks) {
       healthy_ticks_ = 0;
+      // The governor caps the relaxed values at the defaults.
       const auto [bg, norm] = governor_->SetAdmissionWatermarks(
-          std::min(0.5, a.watermark_background * 1.5),
-          std::min(0.8, a.watermark_normal * 1.5));
-      if (bg != a.watermark_background || norm != a.watermark_normal) {
+          w.background * 1.5, w.normal * 1.5);
+      if (bg != w.background || norm != w.normal) {
         ++counters_.tunings;
         Record(now_ms, "tune-admission", "admission",
                "healthy_ticks=" + std::to_string(config_.cold_ticks),
-               "watermarks " + Fmt(a.watermark_background) + "/" +
-                   Fmt(a.watermark_normal) + " -> " + Fmt(bg) + "/" +
-                   Fmt(norm),
+               "watermarks " + Fmt(w.background) + "/" + Fmt(w.normal) +
+                   " -> " + Fmt(bg) + "/" + Fmt(norm),
                Status::OK());
       }
     }

@@ -47,41 +47,47 @@
 #include "core/query_log.h"
 #include "core/source_health.h"
 #include "obs/slo.h"
-#include "planner/options.h"
 #include "sched/governor.h"
 
 namespace gisql {
 
-/// \brief Advisor knobs (mirrored from the GISQL_ADVISOR_* block of
-/// PlannerOptions).
+/// \brief Advisor knobs (PlannerOptions::advisor).
 struct AdvisorConfig {
+  /// Run the background advisor (GISQL_ADVISOR). Off by default: the
+  /// advisor *acts* — it creates replicas, retargets routing, and
+  /// retunes admission — so closing the loop is an explicit choice, the
+  /// same stance as BreakerConfig::enabled. GISQL_ADVISOR_KILL=1 is the
+  /// operational kill switch: GlobalSystem forces the advisor off even
+  /// when this flag was enabled programmatically.
   bool enabled = false;
-  double interval_ms = 500.0;  ///< simulated ms between ticks
-  double window_ms = 2000.0;   ///< observation window over gis.queries
-  int hot_threshold = 8;       ///< window executions that make a template hot
-  int max_views = 2;           ///< replicated views the advisor may own
-  double min_gain_ms = 1.0;    ///< minimum modeled per-query gain to act
-  int cold_ticks = 8;          ///< unused ticks before a view is evicted
-  int log_capacity = 256;      ///< bounded decision-log entries
-  bool materialize = true;     ///< auto-materialization sub-policy
-  bool placement = true;       ///< replica-placement sub-policy
-  bool tune = true;            ///< admission/memory auto-tuning sub-policy
+  /// Simulated ms between advisor ticks (GISQL_ADVISOR_INTERVAL_MS).
+  double interval_ms = 500.0;
+  /// Observation window over gis.queries the policies read, simulated
+  /// ms (GISQL_ADVISOR_WINDOW_MS).
+  double window_ms = 2000.0;
+  /// Executions of one fingerprint within the window that make the
+  /// template "hot" (GISQL_ADVISOR_HOT_THRESHOLD).
+  int hot_threshold = 8;
+  /// Materialized-view budget: replicated views the advisor may own at
+  /// once (GISQL_ADVISOR_MAX_VIEWS).
+  int max_views = 2;
+  /// Minimum modeled per-query gain before a materialization or
+  /// placement action is worth its copy cost, simulated ms
+  /// (GISQL_ADVISOR_MIN_GAIN_MS).
+  double min_gain_ms = 1.0;
+  /// Consecutive ticks a materialized view may go unused before the
+  /// advisor evicts it (GISQL_ADVISOR_COLD_TICKS).
+  int cold_ticks = 8;
+  /// Bounded decision log capacity, entries (GISQL_ADVISOR_LOG).
+  int log_capacity = 256;
+  /// Sub-policy switches (GISQL_ADVISOR_MATERIALIZE / _PLACEMENT /
+  /// _TUNE): auto-materialization of hot templates, replica placement
+  /// toward cheap healthy sites, and admission/memory auto-tuning.
+  bool materialize = true;
+  bool placement = true;
+  bool tune = true;
 
-  static AdvisorConfig FromOptions(const PlannerOptions& options) {
-    AdvisorConfig c;
-    c.enabled = options.advisor_enabled;
-    c.interval_ms = options.advisor_interval_ms;
-    c.window_ms = options.advisor_window_ms;
-    c.hot_threshold = options.advisor_hot_threshold;
-    c.max_views = options.advisor_max_views;
-    c.min_gain_ms = options.advisor_min_gain_ms;
-    c.cold_ticks = options.advisor_cold_ticks;
-    c.log_capacity = options.advisor_log_capacity;
-    c.materialize = options.advisor_materialize;
-    c.placement = options.advisor_placement;
-    c.tune = options.advisor_tune;
-    return c;
-  }
+  bool operator==(const AdvisorConfig&) const = default;
 };
 
 /// \brief One advisor decision: trigger evidence → action → outcome.

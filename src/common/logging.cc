@@ -10,7 +10,7 @@ Logger& Logger::Instance() {
   return logger;
 }
 
-Logger::Logger() : level_(LogLevelFromEnv(LogLevel::kWarn)) {}
+Logger::Logger() : level_(LogLevelFromEnv(kDefaultLevel)) {}
 
 LogLevel ParseLogLevel(const char* text, LogLevel fallback) {
   if (text == nullptr) return fallback;

@@ -28,6 +28,9 @@ enum class LogLevel : int {
 /// level name.
 class Logger {
  public:
+  /// Threshold when GISQL_LOG_LEVEL is unset or unrecognized.
+  static constexpr LogLevel kDefaultLevel = LogLevel::kWarn;
+
   static Logger& Instance();
 
   void set_level(LogLevel level) { level_ = level; }
@@ -38,7 +41,7 @@ class Logger {
 
  private:
   Logger();
-  LogLevel level_ = LogLevel::kWarn;
+  LogLevel level_;
   std::mutex mu_;
 };
 

@@ -26,10 +26,10 @@
 namespace gisql {
 
 void GlobalSystem::ConfigureAdvisor() {
-  AdvisorConfig c = AdvisorConfig::FromOptions(options_);
-  // The kill switch must work even for programs that build their
-  // PlannerOptions programmatically (never calling ApplyEnv), so it is
-  // honored here too, not just in options parsing.
+  AdvisorConfig c = options_.advisor;
+  // The kill switch is honored here, not in options parsing, so it
+  // also stops an advisor that embedding code enabled programmatically
+  // (never calling ApplyEnv).
   if (EnvValue<bool>("GISQL_ADVISOR_KILL").value_or(false)) c.enabled = false;
   if (advisor_ == nullptr) {
     advisor_ = std::make_unique<Advisor>(c, this, &query_log_, &health_,

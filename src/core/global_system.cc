@@ -427,13 +427,11 @@ ExecContext GlobalSystem::MakeExecContext(MemoryGrant* grant) {
   ctx.system_tables = system_catalog_.get();
   ctx.mediator_cpu_us_per_row = options_.mediator_cpu_us_per_row;
   ctx.semijoin_max_keys = options_.semijoin_max_keys;
-  ctx.parallel_execution = options_.parallel_execution;
   ctx.pool = WorkerPool();
   ctx.retry_policy = retry_policy_;
   ctx.memory = grant;
-  ctx.health = &health_;
+  ctx.health = options_.health_aware_routing ? &health_ : nullptr;
   ctx.breakers = &governor_.breakers();
-  ctx.health_aware_routing = options_.health_aware_routing;
   return ctx;
 }
 
@@ -634,12 +632,10 @@ void GlobalSystem::RecordQueryOutcome(const std::string& sql,
   frame.query_id = query_log_.total_appended();
   flight_.RecordFrame(frame);
 
-  if (options_.slo_enabled) {
-    for (const SloAlert& alert :
-         slo_.Record(qctx.priority, finish_ms, sojourn_ms, shed)) {
-      flight_.OnSloAlert(alert.objective, alert.at_ms, alert.fast_burn,
-                         alert.slow_burn);
-    }
+  for (const SloAlert& alert :
+       slo_.Record(qctx.priority, finish_ms, sojourn_ms, shed)) {
+    flight_.OnSloAlert(alert.objective, alert.at_ms, alert.fast_burn,
+                       alert.slow_burn);
   }
 
   // Breaker-open trigger: polled per statement (deterministic — RPC
@@ -681,7 +677,7 @@ Result<GlobalSystem::Admission> GlobalSystem::Admit(
     const std::string& sql, const SubmitOptions& submit) {
   Admission adm;
   adm.qctx = Arrive(submit);
-  adm.governed = options_.admission_control;
+  adm.governed = options_.admission.enabled;
   if (!adm.governed) return adm;
   AdmissionRequest req;
   req.arrival_ms = adm.qctx.arrival_ms;
@@ -925,7 +921,7 @@ Result<uint64_t> GlobalSystem::OpenCursor(const std::string& sql,
 
   // The admission slot covers only the open (which runs the whole plan
   // when it must spool); fetches happen outside it, so cursor_max_open
-  // — not max_concurrent_queries — bounds concurrently open cursors.
+  // — not admission.max_concurrent — bounds concurrently open cursors.
   // Spooling past the query budget is the same query-level shed Submit
   // records.
   auto fail = [&](const Status& st) { return Release(sql, adm, st, 0.0); };

@@ -217,7 +217,7 @@ class GlobalSystem : public AdvisorHost {
     /// Admission priority class: 0 background, 1 normal, 2 interactive.
     int priority = 1;
     /// Queue-wait deadline override; < 0 uses
-    /// PlannerOptions::admission_max_wait_ms.
+    /// PlannerOptions::admission.max_wait_ms.
     double max_wait_ms = -1.0;
     /// Accountable principal the query is charged to; "" attributes
     /// to the "default" tenant (see obs/query_context.h).
@@ -225,7 +225,7 @@ class GlobalSystem : public AdvisorHost {
   };
 
   /// \brief Query() with explicit admission parameters. With
-  /// admission_control on, the resource governor may *shed* the query
+  /// admission.enabled on, the resource governor may *shed* the query
   /// — Status::Overloaded, zero simulated cost, nothing executed —
   /// when the wait queue is full or the deadline is unmeetable.
   /// Decisions are a pure function of the arrival schedule (and the
@@ -375,18 +375,10 @@ class GlobalSystem : public AdvisorHost {
   /// takes the same path).
   void set_options(const PlannerOptions& options) {
     options_ = options;
-    governor_.Configure(options);
-    tenants_.set_max_tracked(options.tenant_max_tracked);
-    slo_.Configure(options.slo_fast_window_ms, options.slo_slow_window_ms,
-                   options.slo_burn_alert);
-    flight_.Configure(
-        options.flight_ring > 0 ? static_cast<size_t>(options.flight_ring) : 0,
-        options.flight_max_incidents > 0
-            ? static_cast<size_t>(options.flight_max_incidents)
-            : 0,
-        options.flight_cooldown_ms, options.flight_shed_spike,
-        options.flight_shed_window_ms);
-    flight_.set_enabled(options.flight_recorder);
+    governor_.Configure(options.admission, options.memory, options.breaker);
+    tenants_.Configure(options.tenants);
+    slo_.Configure(options.slo);
+    flight_.Configure(options.flight);
     ConfigureAdvisor();
   }
   const PlannerOptions& options() const { return options_; }
@@ -409,7 +401,7 @@ class GlobalSystem : public AdvisorHost {
   /// path on the simulated clock, that closes the observe→act loop:
   /// auto-materialization of hot templates, replica placement toward
   /// cheap healthy sites, and guard-railed admission/memory tuning.
-  /// Off by default (PlannerOptions::advisor_enabled / GISQL_ADVISOR);
+  /// Off by default (PlannerOptions::advisor.enabled / GISQL_ADVISOR);
   /// GISQL_ADVISOR_KILL=1 force-disables it regardless. Decisions are
   /// queryable as gis.advisor.
   /// @{
@@ -571,7 +563,7 @@ class GlobalSystem : public AdvisorHost {
   /// every cursor operation; no background thread).
   void SweepExpiredCursors(double now_ms);
 
-  /// \brief (Re)builds the advisor config from options_, honoring the
+  /// \brief (Re)applies options_.advisor, honoring the
   /// GISQL_ADVISOR_KILL environment kill switch (which force-disables
   /// the advisor even when options enabled it programmatically). The
   /// Advisor object itself is created once and reconfigured in place —
@@ -590,7 +582,7 @@ class GlobalSystem : public AdvisorHost {
   // governor's breaker registry), and health_ precedes network_ (which
   // holds a raw observer pointer into it), so destruction unwinds
   // consumer-first.
-  ResourceGovernor governor_{PlannerOptions()};
+  ResourceGovernor governor_;
   SourceHealthTracker health_;
   SimNetwork network_;
   Catalog catalog_;

@@ -41,8 +41,7 @@ Result<ReplicaAnswer> CallReplicas(const ExecContext& ctx,
   // A suspect source (sustained failure streak — likely down) is tried
   // after the healthy replicas instead of first, saving the
   // detection-timeout burn its attempt would cost.
-  if (ctx.health_aware_routing && ctx.health != nullptr &&
-      candidates.size() > 1) {
+  if (ctx.health != nullptr && candidates.size() > 1) {
     auto penalty = [&](const Candidate& c) {
       return ctx.health->StateOf(*c.source) == SourceHealthState::kSuspect
                  ? 1
@@ -188,9 +187,7 @@ Result<ExecOutput> Executor::Execute(const PlanNodePtr& plan) {
   }
   // Serial execution already visits fragments in pre-order; only
   // pooled execution needs the explicit ordering.
-  if (ctx_.parallel_execution && ctx_.pool != nullptr) {
-    sequencer_.Plan(plan);
-  }
+  if (ctx_.pool != nullptr) sequencer_.Plan(plan);
   return Exec(*plan, ctx_.trace_start_ms, ctx_.trace_parent);
 }
 
@@ -349,8 +346,7 @@ Result<ExecOutput> Executor::ExecUnionAll(const PlanNode& node, double t0,
   // member's span starts at t0 — overlap is the simulated semantics.
   std::vector<Result<ExecOutput>> parts(
       node.children.size(), Result<ExecOutput>(ExecOutput{}));
-  if (ctx_.parallel_execution && ctx_.pool != nullptr &&
-      node.children.size() > 1) {
+  if (ctx_.pool != nullptr && node.children.size() > 1) {
     TaskGroup group(ctx_.pool);
     for (size_t i = 0; i < node.children.size(); ++i) {
       group.Spawn([this, &node, &parts, t0, self, i] {
@@ -389,8 +385,7 @@ Result<ExecOutput> Executor::ExecJoin(const PlanNode& node, double t0,
   ExecOutput left;
   ExecOutput right;
   bool right_done = false;
-  if (ctx_.parallel_execution && ctx_.pool != nullptr &&
-      node.join_strategy == JoinStrategy::kShip) {
+  if (ctx_.pool != nullptr && node.join_strategy == JoinStrategy::kShip) {
     Result<ExecOutput> right_result(ExecOutput{});
     {
       TaskGroup group(ctx_.pool);

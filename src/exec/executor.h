@@ -47,12 +47,10 @@ struct ExecContext {
   /// EXPLAIN ANALYZE support: record actual rows / simulated ms onto
   /// each plan node as it executes.
   bool record_actuals = false;
-  /// Dispatch independent subtrees (union members, both sides of a
-  /// ship-strategy join) on worker threads. Results and simulated-time
-  /// accounting are identical either way; this only changes wall time.
-  /// Requires `pool`; without one, execution stays serial.
-  bool parallel_execution = true;
-  /// Bounded worker pool for parallel_execution. Not owned; the pool
+  /// Bounded worker pool that independent subtrees (union members,
+  /// both sides of a ship-strategy join) are dispatched on. Results and
+  /// simulated-time accounting are identical either way; this only
+  /// changes wall time. Null = serial execution. Not owned; the pool
   /// outlives every query using it (GlobalSystem owns one per system).
   /// The executor never creates threads of its own, so concurrency is
   /// capped at the pool size no matter how bushy the plan is.
@@ -77,17 +75,15 @@ struct ExecContext {
   /// an estimate of every batch they materialize; a crossed cap aborts
   /// the query with Status::Overloaded. Not owned; null = unbudgeted.
   MemoryGrant* memory = nullptr;
-  /// Health tracker consulted when ordering replica candidates (see
-  /// health_aware_routing). Not owned; may be null.
+  /// Health tracker consulted when ordering a replicated view's
+  /// failover candidates: suspect sources are tried after healthy ones
+  /// (stable, name tie-break), and plan order is preserved while every
+  /// candidate is healthy. Not owned; null = plan order always.
   const SourceHealthTracker* health = nullptr;
   /// Per-source circuit breakers (sched/circuit_breaker.h): an open
   /// breaker makes ExecFragment skip the candidate at zero network
   /// cost. Not owned; null or disabled = classic behavior.
   CircuitBreakerRegistry* breakers = nullptr;
-  /// Reorder a replicated view's failover candidates so suspect
-  /// sources are tried after healthy ones (stable, name tie-break).
-  /// Plan order is preserved while every candidate is healthy.
-  bool health_aware_routing = true;
   /// MVCC read context stamped onto every shipped fragment:
   /// snapshot_ts > 0 pins reads to that global snapshot, txn_id lets
   /// sources overlay the transaction's own staged writes

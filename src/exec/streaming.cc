@@ -420,7 +420,6 @@ Result<std::unique_ptr<RowStream>> OpenPlanStream(const ExecContext& ctx,
   // pulls), so no pool is consulted; results are identical to the
   // materializing executor either way.
   ExecContext stream_ctx = ctx;
-  stream_ctx.parallel_execution = false;
   stream_ctx.pool = nullptr;
   stream_ctx.memory = nullptr;  // the cursor's owner charges per chunk
   stream_ctx.trace = nullptr;

@@ -24,26 +24,22 @@ const Columns<QueryFrame>& FrameColumns() {
 
 }  // namespace
 
-void FlightRecorder::Configure(size_t ring, size_t max_incidents,
-                               double cooldown_ms, int shed_spike,
-                               double shed_window_ms) {
+void FlightRecorder::Configure(const FlightConfig& config) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (ring > 0) ring_ = ring;
-  if (max_incidents > 0) max_incidents_ = max_incidents;
-  if (cooldown_ms >= 0) cooldown_ms_ = cooldown_ms;
-  if (shed_spike > 0) shed_spike_ = shed_spike;
-  if (shed_window_ms > 0) shed_window_ms_ = shed_window_ms;
-  while (frames_.size() > ring_) frames_.pop_front();
-}
-
-void FlightRecorder::set_enabled(bool enabled) {
-  std::lock_guard<std::mutex> lock(mu_);
-  enabled_ = enabled;
+  config_.enabled = config.enabled;
+  if (config.ring > 0) config_.ring = config.ring;
+  if (config.max_incidents > 0) config_.max_incidents = config.max_incidents;
+  if (config.cooldown_ms >= 0) config_.cooldown_ms = config.cooldown_ms;
+  if (config.shed_spike > 0) config_.shed_spike = config.shed_spike;
+  if (config.shed_window_ms > 0) config_.shed_window_ms = config.shed_window_ms;
+  while (frames_.size() > static_cast<size_t>(config_.ring)) {
+    frames_.pop_front();
+  }
 }
 
 bool FlightRecorder::enabled() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return enabled_;
+  return config_.enabled;
 }
 
 void FlightRecorder::SetSystemSnapshotFn(SystemSnapshotFn fn) {
@@ -53,28 +49,30 @@ void FlightRecorder::SetSystemSnapshotFn(SystemSnapshotFn fn) {
 
 void FlightRecorder::RecordFrame(const QueryFrame& frame) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_) return;
+  if (!config_.enabled) return;
   QueryFrame bounded = frame;
   if (bounded.sql.size() > kMaxFrameSql) {
     bounded.sql.resize(kMaxFrameSql);
     bounded.sql += "...";
   }
   frames_.push_back(std::move(bounded));
-  while (frames_.size() > ring_) frames_.pop_front();
+  while (frames_.size() > static_cast<size_t>(config_.ring)) {
+    frames_.pop_front();
+  }
 
   if (!frame.shed_reason.empty()) {
     double now = frame.finish_ms;
     shed_times_.push_back(now);
     while (!shed_times_.empty() &&
-           shed_times_.front() < now - shed_window_ms_) {
+           shed_times_.front() < now - config_.shed_window_ms) {
       shed_times_.pop_front();
     }
-    if (static_cast<int>(shed_times_.size()) >= shed_spike_ &&
-        now - last_shed_ms_ >= cooldown_ms_) {
+    if (static_cast<int>(shed_times_.size()) >= config_.shed_spike &&
+        now - last_shed_ms_ >= config_.cooldown_ms) {
       last_shed_ms_ = now;
       MaybeCapture("shed_spike",
                    std::to_string(shed_times_.size()) + " sheds in " +
-                       JsonNum(shed_window_ms_) + "ms",
+                       JsonNum(config_.shed_window_ms) + "ms",
                    now);
     }
   }
@@ -83,8 +81,8 @@ void FlightRecorder::RecordFrame(const QueryFrame& frame) {
 void FlightRecorder::OnSloAlert(const std::string& objective, double now_ms,
                                 double fast_burn, double slow_burn) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_) return;
-  if (now_ms - last_slo_ms_ < cooldown_ms_) return;
+  if (!config_.enabled) return;
+  if (now_ms - last_slo_ms_ < config_.cooldown_ms) return;
   last_slo_ms_ = now_ms;
   MaybeCapture("slo_burn",
                objective + " fast_burn=" + JsonNum(fast_burn) +
@@ -94,8 +92,8 @@ void FlightRecorder::OnSloAlert(const std::string& objective, double now_ms,
 
 void FlightRecorder::OnBreakerOpen(const std::string& source, double now_ms) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_) return;
-  if (now_ms - last_breaker_ms_ < cooldown_ms_) return;
+  if (!config_.enabled) return;
+  if (now_ms - last_breaker_ms_ < config_.cooldown_ms) return;
   last_breaker_ms_ = now_ms;
   MaybeCapture("breaker_open", source, now_ms);
 }
@@ -109,7 +107,7 @@ void FlightRecorder::MaybeCapture(const std::string& trigger,
   incident.detail = detail;
   incident.json = BuildJson(trigger, detail, now_ms, incident.id);
   incidents_.push_back(std::move(incident));
-  while (incidents_.size() > max_incidents_) {
+  while (incidents_.size() > static_cast<size_t>(config_.max_incidents)) {
     incidents_.erase(incidents_.begin());
   }
 }

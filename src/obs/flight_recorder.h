@@ -56,14 +56,32 @@ struct IncidentRecord {
   std::string json;     ///< full serialized snapshot
 };
 
+/// \brief Flight-recorder knobs (PlannerOptions::flight).
+struct FlightConfig {
+  /// Capture incident snapshots on deterministic triggers
+  /// (GISQL_FLIGHT_RECORDER).
+  bool enabled = true;
+  /// Recent-query frames retained in the recorder ring
+  /// (GISQL_FLIGHT_RING).
+  int ring = 64;
+  /// Incidents retained; older ones age out (GISQL_FLIGHT_MAX_INCIDENTS).
+  int max_incidents = 16;
+  /// Minimum simulated ms between captures of the same trigger kind
+  /// (GISQL_FLIGHT_COOLDOWN_MS).
+  double cooldown_ms = 10000.0;
+  /// Sheds within the spike window that trigger a capture
+  /// (GISQL_FLIGHT_SHED_SPIKE).
+  int shed_spike = 10;
+  /// The shed-spike rolling window, simulated ms
+  /// (GISQL_FLIGHT_SHED_WINDOW_MS).
+  double shed_window_ms = 1000.0;
+
+  bool operator==(const FlightConfig&) const = default;
+};
+
 /// \brief Deterministic incident snapshotter.
 class FlightRecorder {
  public:
-  static constexpr size_t kDefaultRing = 64;
-  static constexpr size_t kDefaultMaxIncidents = 16;
-  static constexpr double kDefaultCooldownMs = 10'000.0;
-  static constexpr int kDefaultShedSpike = 10;
-  static constexpr double kDefaultShedWindowMs = 1'000.0;
   static constexpr size_t kMaxFrameSql = 80;
 
   /// Produces the `"system"` JSON object for an incident at `now_ms`.
@@ -72,9 +90,10 @@ class FlightRecorder {
   /// is fair game, they carry their own locks).
   using SystemSnapshotFn = std::function<std::string(double now_ms)>;
 
-  void Configure(size_t ring, size_t max_incidents, double cooldown_ms,
-                 int shed_spike, double shed_window_ms);
-  void set_enabled(bool enabled);
+  /// \brief Applies the switch and bounds; an out-of-range bound (a
+  /// non-positive size, spike or window, a negative cooldown) keeps the
+  /// current one.
+  void Configure(const FlightConfig& config);
   bool enabled() const;
   void SetSystemSnapshotFn(SystemSnapshotFn fn);
 
@@ -100,12 +119,7 @@ class FlightRecorder {
                         double now_ms, int64_t id) const;  // caller holds mu_
 
   mutable std::mutex mu_;
-  bool enabled_ = true;
-  size_t ring_ = kDefaultRing;
-  size_t max_incidents_ = kDefaultMaxIncidents;
-  double cooldown_ms_ = kDefaultCooldownMs;
-  int shed_spike_ = kDefaultShedSpike;
-  double shed_window_ms_ = kDefaultShedWindowMs;
+  FlightConfig config_;
   SystemSnapshotFn system_fn_;
   std::deque<QueryFrame> frames_;
   std::deque<double> shed_times_;

@@ -25,19 +25,21 @@ void SloEngine::UseDefaultObjectives() {
   });
 }
 
-void SloEngine::Configure(double fast_window_ms, double slow_window_ms,
-                          double burn_alert_threshold) {
+void SloEngine::Configure(const SloConfig& config) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (fast_window_ms > 0) fast_window_ms_ = fast_window_ms;
-  if (slow_window_ms > 0) slow_window_ms_ = slow_window_ms;
-  if (slow_window_ms_ < fast_window_ms_) slow_window_ms_ = fast_window_ms_;
-  if (burn_alert_threshold > 0) burn_alert_ = burn_alert_threshold;
+  config_.enabled = config.enabled;
+  if (config.fast_window_ms > 0) config_.fast_window_ms = config.fast_window_ms;
+  if (config.slow_window_ms > 0) config_.slow_window_ms = config.slow_window_ms;
+  config_.slow_window_ms =
+      std::max(config_.slow_window_ms, config_.fast_window_ms);
+  if (config.burn_alert > 0) config_.burn_alert = config.burn_alert;
 }
 
 std::vector<SloAlert> SloEngine::Record(int priority, double finish_ms,
                                         double sojourn_ms, bool shed) {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<SloAlert> raised;
+  if (!config_.enabled) return raised;
   // The mediator's simulated clock is monotone per statement stream,
   // but pooled cursor interleavings can finalize slightly out of
   // order; clamping keeps window eviction monotone and deterministic.
@@ -48,7 +50,7 @@ std::vector<SloAlert> SloEngine::Record(int priority, double finish_ms,
     bool good = !shed && sojourn_ms <= tracked.objective.target_ms;
     tracked.events.push_back({now, good});
     while (!tracked.events.empty() &&
-           tracked.events.front().at_ms < now - slow_window_ms_) {
+           tracked.events.front().at_ms < now - config_.slow_window_ms) {
       tracked.events.pop_front();
     }
     SloStatus status = Evaluate(tracked, now);
@@ -83,10 +85,10 @@ SloStatus SloEngine::Evaluate(const Tracked& tracked, double now_ms) const {
   status.priority = tracked.objective.priority;
   status.target_ms = tracked.objective.target_ms;
   status.goal = tracked.objective.goal;
-  CountWindow(tracked.events, now_ms, fast_window_ms_, &status.fast_total,
-              &status.fast_good);
-  CountWindow(tracked.events, now_ms, slow_window_ms_, &status.slow_total,
-              &status.slow_good);
+  CountWindow(tracked.events, now_ms, config_.fast_window_ms,
+              &status.fast_total, &status.fast_good);
+  CountWindow(tracked.events, now_ms, config_.slow_window_ms,
+              &status.slow_total, &status.slow_good);
   status.fast_attainment =
       status.fast_total == 0
           ? 1.0
@@ -102,8 +104,8 @@ SloStatus SloEngine::Evaluate(const Tracked& tracked, double now_ms) const {
   // Breach is a property of the windows at `now_ms`, not of the latch:
   // once an objective's bad events age out it stops alerting even if
   // only other priorities' traffic arrived since.
-  status.alerting =
-      status.fast_burn >= burn_alert_ && status.slow_burn >= burn_alert_;
+  status.alerting = status.fast_burn >= config_.burn_alert &&
+                    status.slow_burn >= config_.burn_alert;
   status.alerts = tracked.alerts;
   status.last_alert_ms = tracked.last_alert_ms;
   return status;

@@ -67,13 +67,27 @@ struct SloAlert {
   double slow_burn = 0.0;
 };
 
+/// \brief SLO evaluation knobs (PlannerOptions::slo).
+struct SloConfig {
+  /// Evaluate SLO objectives on every statement (GISQL_SLO_ENABLED).
+  /// Not free: each record scans both whole windows, so its cost grows
+  /// with the arrival rate (about 23 µs per statement at 300 arrivals/s
+  /// over the default 60 s slow window). On by default all the same.
+  bool enabled = true;
+  /// Fast error-budget window, simulated ms (GISQL_SLO_FAST_WINDOW_MS).
+  double fast_window_ms = 5000.0;
+  /// Slow error-budget window, simulated ms (GISQL_SLO_SLOW_WINDOW_MS).
+  double slow_window_ms = 60000.0;
+  /// Burn-rate threshold: an alert latches when BOTH windows burn at
+  /// or above it (GISQL_SLO_BURN_ALERT).
+  double burn_alert = 2.0;
+
+  bool operator==(const SloConfig&) const = default;
+};
+
 /// \brief Rolling-window SLO evaluator; thread-safe, deterministic.
 class SloEngine {
  public:
-  static constexpr double kDefaultFastWindowMs = 5'000.0;
-  static constexpr double kDefaultSlowWindowMs = 60'000.0;
-  static constexpr double kDefaultBurnAlert = 2.0;
-
   SloEngine() { UseDefaultObjectives(); }
 
   /// \brief Replaces the objective set (drops accumulated events).
@@ -84,14 +98,17 @@ class SloEngine {
   /// p<=1000ms @ 90%.
   void UseDefaultObjectives();
 
-  void Configure(double fast_window_ms, double slow_window_ms,
-                 double burn_alert_threshold);
+  /// \brief Applies the switch, windows and threshold; a non-positive
+  /// window or threshold keeps the current one, and the slow window
+  /// never ends up shorter than the fast one.
+  void Configure(const SloConfig& config);
 
-  /// \brief Feeds one completed-or-shed statement. `finish_ms` is the
-  /// simulated completion instant; `sojourn_ms` is wait + execution;
-  /// shed events are never good. Re-evaluates burn rates and latches
-  /// rising-edge alerts at exactly `finish_ms`; the alerts this event
-  /// raised are returned so the caller can trigger incident capture.
+  /// \brief Feeds one completed-or-shed statement (a no-op while
+  /// disabled). `finish_ms` is the simulated completion instant;
+  /// `sojourn_ms` is wait + execution; shed events are never good.
+  /// Re-evaluates burn rates and latches rising-edge alerts at exactly
+  /// `finish_ms`; the alerts this event raised are returned so the
+  /// caller can trigger incident capture.
   std::vector<SloAlert> Record(int priority, double finish_ms,
                                double sojourn_ms, bool shed);
 
@@ -102,9 +119,6 @@ class SloEngine {
   /// \brief Every rising-edge alert so far, in simulated-time order.
   std::vector<SloAlert> Alerts() const;
 
-  double fast_window_ms() const { return fast_window_ms_; }
-  double slow_window_ms() const { return slow_window_ms_; }
-  double burn_alert_threshold() const { return burn_alert_; }
 
  private:
   struct Event {
@@ -126,9 +140,7 @@ class SloEngine {
   SloStatus Evaluate(const Tracked& tracked, double now_ms) const;
 
   mutable std::mutex mu_;
-  double fast_window_ms_ = kDefaultFastWindowMs;
-  double slow_window_ms_ = kDefaultSlowWindowMs;
-  double burn_alert_ = kDefaultBurnAlert;
+  SloConfig config_;
   std::vector<Tracked> tracked_;
   std::vector<SloAlert> alert_log_;
   double last_event_ms_ = 0.0;

@@ -24,6 +24,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -77,19 +78,28 @@ struct TenantCharge {
   double disk_ms = 0.0;
 };
 
+/// \brief Tenant-accounting knobs (PlannerOptions::tenants).
+struct TenantConfig {
+  /// Distinct tenants tracked individually before folding into the
+  /// "~other" bucket (GISQL_TENANT_MAX_TRACKED); values below 1 act
+  /// as 1.
+  int max_tracked = 4096;
+
+  bool operator==(const TenantConfig&) const = default;
+};
+
 /// \brief Thread-safe per-tenant aggregation with a checkable total.
 class TenantAccountant {
  public:
-  static constexpr int kDefaultMaxTracked = 4096;
-
-  explicit TenantAccountant(int max_tracked = kDefaultMaxTracked)
-      : max_tracked_(max_tracked < 1 ? 1 : max_tracked) {}
+  explicit TenantAccountant(TenantConfig config = TenantConfig()) {
+    Configure(config);
+  }
 
   /// \brief Re-bounds the tenant map (existing rows are kept even when
   /// the bound shrinks; the bound gates *new* tenants only).
-  void set_max_tracked(int max_tracked) {
+  void Configure(const TenantConfig& config) {
     std::lock_guard<std::mutex> lock(mu_);
-    max_tracked_ = max_tracked < 1 ? 1 : max_tracked;
+    max_tracked_ = std::max(config.max_tracked, 1);
   }
 
   /// \brief Charges one statement to `tenant` and to the grand total

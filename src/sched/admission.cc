@@ -16,12 +16,22 @@ const char* ShedReasonName(ShedReason reason) {
   return "?";
 }
 
-AdmissionController::AdmissionController(AdmissionConfig config)
-    : config_(config) {}
+AdmissionController::AdmissionController(AdmissionConfig config) {
+  Configure(config);
+}
 
 void AdmissionController::Configure(const AdmissionConfig& config) {
   std::lock_guard<std::mutex> lock(mu_);
   config_ = config;
+  // With no slot at all, a full house would index the release times at
+  // a negative rank; one slot is the smallest controller that can run.
+  config_.max_concurrent = std::max(config_.max_concurrent, 1);
+  watermarks_ = QueueWatermarks{};
+}
+
+void AdmissionController::SetWatermarks(const QueueWatermarks& watermarks) {
+  std::lock_guard<std::mutex> lock(mu_);
+  watermarks_ = watermarks;
 }
 
 AdmissionDecision AdmissionController::Admit(const AdmissionRequest& request) {
@@ -51,8 +61,8 @@ AdmissionDecision AdmissionController::Admit(const AdmissionRequest& request) {
       if (s.start_ms > arrival) ++queued;
     }
     d.queued_ahead = queued;
-    const double watermark = priority == 0   ? config_.watermark_background
-                             : priority == 1 ? config_.watermark_normal
+    const double watermark = priority == 0   ? watermarks_.background
+                             : priority == 1 ? watermarks_.normal
                                              : 1.0;
     const int allowed =
         static_cast<int>(std::floor(config_.queue_limit * watermark));
@@ -124,6 +134,11 @@ AdmissionStats AdmissionController::Stats() const {
 AdmissionConfig AdmissionController::config() const {
   std::lock_guard<std::mutex> lock(mu_);
   return config_;
+}
+
+QueueWatermarks AdmissionController::watermarks() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return watermarks_;
 }
 
 void AdmissionController::Reset() {

@@ -41,22 +41,35 @@ enum class ShedReason : uint8_t {
 
 const char* ShedReasonName(ShedReason reason);
 
-/// \brief Admission policy knobs (mirrored from PlannerOptions).
+/// \brief Admission policy knobs (PlannerOptions::admission).
 struct AdmissionConfig {
-  int max_concurrent = 8;      ///< concurrency slots
-  int queue_limit = 32;        ///< bounded wait queue (all classes)
-  double max_wait_ms = 1000.0; ///< default deadline while queued
-  /// \name Per-class queue watermarks (fraction of queue_limit)
-  ///
-  /// Class p may only enter while queue occupancy is below its
-  /// watermark; interactive (class 2) is always 1.0. The advisor's
-  /// tuning policy lowers these under interactive SLO burn so
-  /// background/normal traffic backs off first, and relaxes them back
-  /// toward the defaults once the burn clears.
-  /// @{
-  double watermark_background = 0.5;
-  double watermark_normal = 0.8;
-  /// @}
+  /// Gate queries through the controller (GISQL_ADMISSION_CONTROL).
+  /// Closed-loop clients (each query submitted after the previous
+  /// finishes) never queue, so the default is free for them; open-loop
+  /// load sees bounded queueing and shedding.
+  bool enabled = true;
+  /// Concurrency slots (GISQL_MAX_CONCURRENT); values below 1 act as 1.
+  int max_concurrent = 8;
+  /// Bounded wait queue across priority classes (GISQL_ADMISSION_QUEUE).
+  int queue_limit = 32;
+  /// Default queue-wait deadline; arrivals whose computed wait exceeds
+  /// it are shed up front (GISQL_ADMISSION_WAIT_MS).
+  double max_wait_ms = 1000.0;
+
+  bool operator==(const AdmissionConfig&) const = default;
+};
+
+/// \brief Per-class queue watermarks (fraction of queue_limit).
+///
+/// Class p may only enter while queue occupancy is below its
+/// watermark; interactive (class 2) is always 1.0. These are controller
+/// state, not settings: every (re)configuration starts from the
+/// defaults below, the advisor's tuning policy lowers them under
+/// interactive SLO burn so background/normal traffic backs off first,
+/// and relaxes them back toward the defaults once the burn clears.
+struct QueueWatermarks {
+  double background = 0.5;
+  double normal = 0.8;
 };
 
 /// \brief One admission request on the simulated clock.
@@ -95,9 +108,14 @@ class AdmissionController {
  public:
   explicit AdmissionController(AdmissionConfig config = AdmissionConfig());
 
-  /// \brief Reconfigures limits. Occupancy and counters are kept; the
-  /// new limits apply from the next Admit on.
+  /// \brief Reconfigures limits and restores the default watermarks.
+  /// Occupancy and counters are kept; the new limits apply from the
+  /// next Admit on.
   void Configure(const AdmissionConfig& config);
+
+  /// \brief Replaces the per-class queue watermarks (the governor
+  /// clamps them first).
+  void SetWatermarks(const QueueWatermarks& watermarks);
 
   /// \brief Decides one request. Admitted requests take a slot from
   /// `start_ms` until the matching Release.
@@ -109,6 +127,7 @@ class AdmissionController {
 
   AdmissionStats Stats() const;
   AdmissionConfig config() const;
+  QueueWatermarks watermarks() const;
 
   /// \brief Drops occupancy and counters (bench rungs reset between
   /// ladders the way they reset metrics registries).
@@ -126,6 +145,7 @@ class AdmissionController {
 
   mutable std::mutex mu_;
   AdmissionConfig config_;
+  QueueWatermarks watermarks_;
   AdmissionStats stats_;
   uint64_t next_ticket_ = 1;
   std::vector<Slot> slots_;  ///< occupants not yet pruned

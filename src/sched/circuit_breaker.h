@@ -45,13 +45,24 @@ enum class BreakerState : uint8_t {
 
 const char* BreakerStateName(BreakerState state);
 
-/// \brief Breaker policy knobs (mirrored from PlannerOptions).
+/// \brief Breaker policy knobs (PlannerOptions::breaker).
 struct BreakerConfig {
+  /// Per-source circuit breakers (GISQL_CIRCUIT_BREAKER). Off by
+  /// default: skipping a source changes which attempts reach the
+  /// network, so it is an explicit operational choice, not a silent one.
   bool enabled = false;
-  int open_after = 5;       ///< consecutive failures that open the breaker
-  int cooldown_skips = 3;   ///< skips while open before probing resumes
-  double probe_ratio = 0.5; ///< fraction of half-open requests probed
-  uint64_t seed = 17;       ///< probe-draw seed
+  /// Consecutive failures that open a breaker (GISQL_BREAKER_FAILURES).
+  int open_after = 5;
+  /// Skipped requests while open before half-open probing resumes
+  /// (GISQL_BREAKER_COOLDOWN).
+  int cooldown_skips = 3;
+  /// Fraction of half-open requests admitted as probes
+  /// (GISQL_BREAKER_PROBE_RATIO).
+  double probe_ratio = 0.5;
+  /// Seed for the half-open probe draws (GISQL_BREAKER_SEED).
+  uint64_t seed = 17;
+
+  bool operator==(const BreakerConfig&) const = default;
 };
 
 /// \brief One source's breaker view (gis.sources columns).

@@ -22,9 +22,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <utility>
 
-#include "planner/options.h"
 #include "sched/admission.h"
 #include "sched/circuit_breaker.h"
 #include "sched/memory_budget.h"
@@ -48,27 +46,15 @@ struct GovernorSnapshot {
 
 class ResourceGovernor {
  public:
-  explicit ResourceGovernor(const PlannerOptions& options) {
-    Configure(options);
-  }
-
-  /// \brief (Re)applies the governor-relevant PlannerOptions. Live
-  /// occupancy, counters, and breaker state are kept.
-  void Configure(const PlannerOptions& options) {
-    AdmissionConfig a;
-    a.max_concurrent = options.max_concurrent_queries;
-    a.queue_limit = options.admission_queue_limit;
-    a.max_wait_ms = options.admission_max_wait_ms;
-    admission_.Configure(a);
-    memory_.Configure(options.query_mem_bytes, options.mediator_mem_bytes);
-    BreakerConfig b;
-    b.enabled = options.circuit_breaker;
-    b.open_after = options.breaker_open_failures;
-    b.cooldown_skips = options.breaker_cooldown_skips;
-    b.probe_ratio = options.breaker_probe_ratio;
-    b.seed = options.breaker_seed;
-    breakers_.Configure(b);
-    base_query_mem_bytes_ = options.query_mem_bytes;
+  /// \brief (Re)applies the governor's three configs. Live occupancy,
+  /// counters, and breaker state are kept; the queue watermarks return
+  /// to their defaults.
+  void Configure(const AdmissionConfig& admission, const MemoryConfig& memory,
+                 const BreakerConfig& breaker) {
+    admission_.Configure(admission);
+    memory_.Configure(memory.query_bytes, memory.mediator_bytes);
+    breakers_.Configure(breaker);
+    base_query_mem_bytes_ = memory.query_bytes;
   }
 
   /// \name Guard-railed advisor knobs
@@ -87,20 +73,19 @@ class ResourceGovernor {
   /// \brief Sets the background/normal queue watermarks, clamped to
   /// [kMinWatermark, default] per class with background ≤ normal.
   /// Interactive traffic always keeps the full queue (1.0).
-  std::pair<double, double> SetAdmissionWatermarks(double background,
-                                                   double normal) {
-    AdmissionConfig a = admission_.config();
-    normal = std::clamp(normal, kMinWatermark, 0.8);
-    background = std::clamp(background, kMinWatermark, std::min(normal, 0.5));
-    a.watermark_background = background;
-    a.watermark_normal = normal;
-    admission_.Configure(a);
-    return {background, normal};
+  QueueWatermarks SetAdmissionWatermarks(double background, double normal) {
+    const QueueWatermarks defaults;
+    QueueWatermarks w;
+    w.normal = std::clamp(normal, kMinWatermark, defaults.normal);
+    w.background = std::clamp(background, kMinWatermark,
+                              std::min(w.normal, defaults.background));
+    admission_.SetWatermarks(w);
+    return w;
   }
 
   /// \brief Sets the per-query memory cap, clamped to [base/2, 4*base]
   /// and never above the global cap (base = the configured
-  /// query_mem_bytes). Applies to grants taken after this call.
+  /// memory.query_bytes). Applies to grants taken after this call.
   int64_t SetQueryMemCap(int64_t bytes) {
     const int64_t base = base_query_mem_bytes_;
     const int64_t lo = std::max<int64_t>(1, base / 2);
@@ -157,7 +142,7 @@ class ResourceGovernor {
   AdmissionController admission_;
   MemoryBudget memory_;
   CircuitBreakerRegistry breakers_;
-  int64_t base_query_mem_bytes_ = 256LL << 20;
+  int64_t base_query_mem_bytes_ = MemoryConfig{}.query_bytes;
   int64_t shed_memory_budget_ = 0;
   double now_ms_ = 0.0;
 };

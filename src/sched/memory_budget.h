@@ -34,6 +34,17 @@ inline int64_t EstimateRowBytes(int64_t rows, int64_t width) {
 
 class MemoryBudget;
 
+/// \brief Memory budget knobs (PlannerOptions::memory).
+struct MemoryConfig {
+  /// Per-query materialization budget (GISQL_QUERY_MEM_BYTES).
+  int64_t query_bytes = 256LL << 20;
+  /// Mediator-wide budget across in-flight queries
+  /// (GISQL_MEDIATOR_MEM_BYTES).
+  int64_t mediator_bytes = 1LL << 30;
+
+  bool operator==(const MemoryConfig&) const = default;
+};
+
 /// \brief One query's budget handle: charges accumulate here and
 /// against the owning MemoryBudget, and everything is released when
 /// the grant is destroyed. Thread-safe (pooled operators charge
@@ -97,8 +108,8 @@ class MemoryBudget {
   Status ChargeGlobal(int64_t bytes);
   void Release(int64_t bytes);
 
-  std::atomic<int64_t> query_cap_{256LL << 20};
-  std::atomic<int64_t> global_cap_{1LL << 30};
+  std::atomic<int64_t> query_cap_{MemoryConfig{}.query_bytes};
+  std::atomic<int64_t> global_cap_{MemoryConfig{}.mediator_bytes};
   std::atomic<int64_t> in_use_{0};
   std::atomic<int64_t> peak_{0};
 };

@@ -35,6 +35,8 @@ struct StorageConfig {
   /// Simulated microseconds charged per page write (GISQL_DISK_WRITE_US).
   double disk_write_us = 100.0;
 
+  bool operator==(const StorageConfig&) const = default;
+
   /// \brief Defaults overridden from GISQL_* environment variables
   /// (unset or unparsable values keep the field, mirroring
   /// PlannerOptions::ApplyEnv).

@@ -19,10 +19,10 @@ namespace {
 PlannerOptions BreakerOptions() {
   PlannerOptions options;
   options.parallel_execution = false;
-  options.circuit_breaker = true;
-  options.breaker_open_failures = 3;
-  options.breaker_cooldown_skips = 2;
-  options.breaker_probe_ratio = 1.0;  // every half-open request probes
+  options.breaker.enabled = true;
+  options.breaker.open_after = 3;
+  options.breaker.cooldown_skips = 2;
+  options.breaker.probe_ratio = 1.0;  // every half-open request probes
   return options;
 }
 
@@ -144,7 +144,7 @@ TEST_F(BreakerChaosTest, InjectedDropStreakOpensViaHealthPipeline) {
 TEST(BreakerDeterminismTest, SameSeedReplaysTransitionsAndRendering) {
   auto run = [](uint64_t seed) {
     PlannerOptions options = BreakerOptions();
-    options.breaker_seed = seed;
+    options.breaker.seed = seed;
     GlobalSystem gis(options);
     BuildReplicated(&gis);
     gis.set_retry_policy(RetryPolicy::Standard(3, seed));

@@ -38,6 +38,25 @@ TEST(AdmissionControllerTest, FreeSlotAdmitsAtArrival) {
   EXPECT_EQ(ac.Stats().in_flight, 0);
 }
 
+TEST(AdmissionControllerTest, NonPositiveSlotCountActsAsOneSlot) {
+  // With no slot, a full house would read the release times at a
+  // negative rank; the controller runs one slot instead.
+  for (const int slots : {0, -2}) {
+    AdmissionConfig cfg;
+    cfg.max_concurrent = slots;
+    cfg.max_wait_ms = 1e9;
+    AdmissionController ac(cfg);
+    EXPECT_EQ(ac.config().max_concurrent, 1) << slots;
+    const AdmissionDecision a = ac.Admit(AdmissionRequest{});
+    ASSERT_TRUE(a.admitted) << slots;
+    EXPECT_EQ(a.wait_ms, 0.0) << slots;
+    ac.Release(a.ticket, 100.0);
+    const AdmissionDecision b = ac.Admit(AdmissionRequest{});
+    ASSERT_TRUE(b.admitted) << slots;
+    EXPECT_EQ(b.start_ms, 100.0) << slots;  // waits for the one slot
+  }
+}
+
 TEST(AdmissionControllerTest, WorkedExampleTwoSlots) {
   // Capacity 2, arrivals 0/1/2/3, every query runs 100 ms: textbook
   // starts are 0, 1, 100 (first release), 101 (second release).
@@ -354,7 +373,7 @@ void Build(GlobalSystem* gis, int big_rows = 40) {
 }
 
 TEST(AdmissionSystemTest, ClosedLoopTrafficNeverQueuesOrSheds) {
-  GlobalSystem gis;  // admission_control defaults on
+  GlobalSystem gis;  // admission.enabled defaults on
   Build(&gis);
   for (int i = 0; i < 5; ++i) {
     auto r = gis.Query("SELECT COUNT(*) FROM orders WHERE oid > " +
@@ -378,9 +397,9 @@ TEST(AdmissionSystemTest, ClosedLoopTrafficNeverQueuesOrSheds) {
 
 TEST(AdmissionSystemTest, OpenLoopBurstQueuesThenSheds) {
   PlannerOptions options;
-  options.max_concurrent_queries = 1;
-  options.admission_queue_limit = 4;   // normal-class watermark: 3
-  options.admission_max_wait_ms = 1e9;
+  options.admission.max_concurrent = 1;
+  options.admission.queue_limit = 4;   // normal-class watermark: 3
+  options.admission.max_wait_ms = 1e9;
   GlobalSystem gis(options);
   Build(&gis);
 
@@ -427,8 +446,8 @@ TEST(AdmissionSystemTest, OpenLoopBurstQueuesThenSheds) {
 
 TEST(AdmissionSystemTest, DeadlineShedsWhenWaitUnmeetable) {
   PlannerOptions options;
-  options.max_concurrent_queries = 1;
-  options.admission_max_wait_ms = 0.01;  // any queueing busts it
+  options.admission.max_concurrent = 1;
+  options.admission.max_wait_ms = 0.01;  // any queueing busts it
   GlobalSystem gis(options);
   Build(&gis);
 
@@ -446,9 +465,21 @@ TEST(AdmissionSystemTest, DeadlineShedsWhenWaitUnmeetable) {
   EXPECT_TRUE(later.ok()) << later.status().ToString();
 }
 
+TEST(AdmissionSystemTest, NonPositiveMaxConcurrentStillRunsQueries) {
+  for (const int slots : {0, -2}) {
+    PlannerOptions options;
+    options.admission.max_concurrent = slots;
+    GlobalSystem gis(options);
+    Build(&gis);
+    auto r = gis.Query("SELECT COUNT(*) FROM clients");
+    ASSERT_TRUE(r.ok()) << slots << ": " << r.status().ToString();
+    EXPECT_EQ(r->batch.rows()[0][0].AsInt(), 8) << slots;
+  }
+}
+
 TEST(AdmissionSystemTest, HostileQueryFailsOnMemoryBudget) {
   PlannerOptions options;
-  options.query_mem_bytes = 100 * 1000;  // ~1250 wide rows
+  options.memory.query_bytes = 100 * 1000;  // ~1250 wide rows
   GlobalSystem gis(options);
   Build(&gis, /*big_rows=*/3000);
 
@@ -479,8 +510,8 @@ TEST(AdmissionSystemTest, HostileQueryFailsOnMemoryBudget) {
 
 TEST(AdmissionSystemTest, GovernorOffBypassesAdmissionEntirely) {
   PlannerOptions options;
-  options.admission_control = false;
-  options.max_concurrent_queries = 1;
+  options.admission.enabled = false;
+  options.admission.max_concurrent = 1;
   GlobalSystem gis(options);
   Build(&gis);
   // Every burst query runs: nothing sheds without the governor.
@@ -584,12 +615,12 @@ TEST(PlannerOptionsEnvTest, FromEnvParsesCleanValuesAndKeepsDefaults) {
   unsetenv("GISQL_QUERY_MEM_BYTES");
   unsetenv("GISQL_BREAKER_SEED");
 
-  EXPECT_EQ(o.max_concurrent_queries, 3);
-  EXPECT_EQ(o.admission_max_wait_ms, 250.5);
-  EXPECT_TRUE(o.circuit_breaker);
-  EXPECT_FALSE(o.admission_control);
-  EXPECT_EQ(o.breaker_seed, 99u);
-  EXPECT_EQ(o.query_mem_bytes, PlannerOptions().query_mem_bytes)
+  EXPECT_EQ(o.admission.max_concurrent, 3);
+  EXPECT_EQ(o.admission.max_wait_ms, 250.5);
+  EXPECT_TRUE(o.breaker.enabled);
+  EXPECT_FALSE(o.admission.enabled);
+  EXPECT_EQ(o.breaker.seed, 99u);
+  EXPECT_EQ(o.memory.query_bytes, PlannerOptions().memory.query_bytes)
       << "a malformed value must leave the compiled-in default intact";
 }
 
@@ -609,11 +640,25 @@ TEST(PlannerOptionsEnvTest, OutOfRangeValuesKeepDefaults) {
   unsetenv("GISQL_ADMISSION_WAIT_MS");
 
   const PlannerOptions d;
-  EXPECT_EQ(o.max_concurrent_queries, d.max_concurrent_queries);
-  EXPECT_EQ(o.admission_queue_limit, d.admission_queue_limit);
-  EXPECT_EQ(o.query_mem_bytes, d.query_mem_bytes);
-  EXPECT_EQ(o.breaker_seed, d.breaker_seed);
-  EXPECT_EQ(o.admission_max_wait_ms, d.admission_max_wait_ms);
+  EXPECT_EQ(o.admission.max_concurrent, d.admission.max_concurrent);
+  EXPECT_EQ(o.admission.queue_limit, d.admission.queue_limit);
+  EXPECT_EQ(o.memory.query_bytes, d.memory.query_bytes);
+  EXPECT_EQ(o.breaker.seed, d.breaker.seed);
+  EXPECT_EQ(o.admission.max_wait_ms, d.admission.max_wait_ms);
+}
+
+TEST(PlannerOptionsEnvTest, NonPositiveMaxConcurrentKeepsDefault) {
+  for (const char* text : {"0", "-2"}) {
+    setenv("GISQL_MAX_CONCURRENT", text, 1);
+    const PlannerOptions o = PlannerOptions::FromEnv();
+    unsetenv("GISQL_MAX_CONCURRENT");
+    EXPECT_EQ(o.admission.max_concurrent, AdmissionConfig().max_concurrent)
+        << text;
+    GlobalSystem gis(o);
+    Build(&gis);
+    auto r = gis.Submit("SELECT COUNT(*) FROM clients", {});
+    EXPECT_TRUE(r.ok()) << text << ": " << r.status().ToString();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -628,9 +673,9 @@ TEST(AdmissionDeterminismTest, SerialAndPooledDecisionsAreIdentical) {
   auto run = [](bool parallel) {
     PlannerOptions options;
     options.parallel_execution = parallel;
-    options.max_concurrent_queries = 1;
-    options.admission_queue_limit = 4;
-    options.admission_max_wait_ms = 60.0;
+    options.admission.max_concurrent = 1;
+    options.admission.queue_limit = 4;
+    options.admission.max_wait_ms = 60.0;
     auto gis = std::make_unique<GlobalSystem>(options);
     Build(gis.get());
     std::string out;
@@ -668,9 +713,9 @@ TEST(AdmissionDeterminismTest, PooledRunsReplayIdentically) {
   auto run = [] {
     PlannerOptions options;
     options.parallel_execution = true;
-    options.max_concurrent_queries = 2;
-    options.admission_queue_limit = 3;
-    options.admission_max_wait_ms = 120.0;
+    options.admission.max_concurrent = 2;
+    options.admission.queue_limit = 3;
+    options.admission.max_wait_ms = 120.0;
     auto gis = std::make_unique<GlobalSystem>(options);
     Build(gis.get());
     std::string out;

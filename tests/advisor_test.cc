@@ -59,13 +59,13 @@ void BuildSplitFederation(GlobalSystem* gis) {
 PlannerOptions AdvisorOptions() {
   PlannerOptions options;
   options.parallel_execution = false;
-  options.advisor_enabled = true;
-  options.advisor_interval_ms = 1.0;  // tick after every statement
-  options.advisor_window_ms = 100000.0;
-  options.advisor_hot_threshold = 3;
-  options.advisor_min_gain_ms = 1.0;
-  options.advisor_max_views = 1;
-  options.advisor_cold_ticks = 3;
+  options.advisor.enabled = true;
+  options.advisor.interval_ms = 1.0;  // tick after every statement
+  options.advisor.window_ms = 100000.0;
+  options.advisor.hot_threshold = 3;
+  options.advisor.min_gain_ms = 1.0;
+  options.advisor.max_views = 1;
+  options.advisor.cold_ticks = 3;
   return options;
 }
 
@@ -146,7 +146,7 @@ TEST(Advisor, MaterializesHotTemplateAndServesSameRows) {
 TEST(Advisor, EvictsColdViewAndRestoresBaseTable) {
   PlannerOptions options = AdvisorOptions();
   // Finite observation window so the hot template can age out of it.
-  options.advisor_window_ms = 400.0;
+  options.advisor.window_ms = 400.0;
   GlobalSystem gis(options);
   BuildSplitFederation(&gis);
   for (int i = 0; i < 6; ++i) {
@@ -205,13 +205,13 @@ TEST(Advisor, DecisionLogBytesIdenticalSerialPooledReplayed) {
 
 TEST(Advisor, NeverTargetsABreakerOpenSource) {
   PlannerOptions options = AdvisorOptions();
-  options.circuit_breaker = true;
+  options.breaker.enabled = true;
   GlobalSystem gis(options);
   BuildSplitFederation(&gis);
 
   // Open near1's breaker (the tie-break favorite) before the template
   // gets hot: the advisor must place the replica elsewhere.
-  for (int i = 0; i < options.breaker_open_failures; ++i) {
+  for (int i = 0; i < options.breaker.open_after; ++i) {
     gis.governor().breakers().OnSourceOutcome("near1", false);
   }
   ASSERT_EQ(gis.governor().breakers().StateOf("near1"), BreakerState::kOpen);
@@ -276,7 +276,7 @@ TEST(Advisor, GovernorClampsTuningToGuardRails) {
   EXPECT_DOUBLE_EQ(norm_high, 0.8);
 
   // The per-query cap stays within [base/2, min(4*base, global)].
-  const int64_t base = gis.options().query_mem_bytes;
+  const int64_t base = gis.options().memory.query_bytes;
   EXPECT_EQ(governor.SetQueryMemCap(1), base / 2);
   const int64_t ceiling =
       std::min(4 * base, governor.memory().global_cap());

@@ -322,7 +322,7 @@ TEST(CursorSystemTest, OpenCursorRejectsNonSelect) {
 
 TEST(CursorSystemTest, OverBudgetResultStreamsWithPeakUnderBudget) {
   PlannerOptions options;
-  options.query_mem_bytes = 100 * 1000;
+  options.memory.query_bytes = 100 * 1000;
   const std::string sql = "SELECT oid, cid, total FROM orders";
 
   // Materialized: 3000 rows cost ~3000·(32+24·3) bytes — over budget.
@@ -349,7 +349,7 @@ TEST(CursorSystemTest, OverBudgetResultStreamsWithPeakUnderBudget) {
   // of the high-water mark: the streaming path itself stayed under the
   // per-query budget.
   EXPECT_LE(gis.governor().memory().peak(),
-            options.query_mem_bytes + gis.BufferPoolResidentBytes());
+            options.memory.query_bytes + gis.BufferPoolResidentBytes());
   EXPECT_EQ(gis.governor().memory().in_use(), gis.BufferPoolResidentBytes());
 }
 
@@ -357,7 +357,7 @@ TEST(CursorSystemTest, ChunkOverBudgetFinalizesCursorAndReleases) {
   // A budget smaller than one chunk's estimate: the first fetch's
   // charge is denied, the cursor dies cleanly, nothing leaks.
   PlannerOptions options;
-  options.query_mem_bytes = 1000;  // < 128·(32+24·3)
+  options.memory.query_bytes = 1000;  // < 128·(32+24·3)
   GlobalSystem gis(options);
   Build(&gis, /*big_rows=*/3000);
   GlobalSystem::CursorOptions copts;
@@ -384,9 +384,9 @@ TEST(CursorSystemTest, ChunkOverBudgetFinalizesCursorAndReleases) {
 
 TEST(CursorSystemTest, ShedOpensAllocateNoCursorAndNoGrant) {
   PlannerOptions options;
-  options.max_concurrent_queries = 1;
-  options.admission_queue_limit = 4;  // normal-class watermark: 3
-  options.admission_max_wait_ms = 1e9;
+  options.admission.max_concurrent = 1;
+  options.admission.queue_limit = 4;  // normal-class watermark: 3
+  options.admission.max_wait_ms = 1e9;
   GlobalSystem gis(options);
   Build(&gis, /*big_rows=*/300);
 

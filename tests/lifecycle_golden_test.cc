@@ -184,15 +184,15 @@ std::string RunBreakerOutage(bool parallel) {
   PlannerOptions options;
   options.parallel_execution = parallel;
   options.worker_threads = 2;
-  options.circuit_breaker = true;
-  options.breaker_open_failures = 3;
-  options.breaker_cooldown_skips = 2;
-  options.breaker_probe_ratio = 1.0;
-  options.advisor_enabled = true;
-  options.advisor_interval_ms = 1.0;
-  options.advisor_window_ms = 100000.0;
-  options.advisor_hot_threshold = 3;
-  options.advisor_max_views = 1;
+  options.breaker.enabled = true;
+  options.breaker.open_after = 3;
+  options.breaker.cooldown_skips = 2;
+  options.breaker.probe_ratio = 1.0;
+  options.advisor.enabled = true;
+  options.advisor.interval_ms = 1.0;
+  options.advisor.window_ms = 100000.0;
+  options.advisor.hot_threshold = 3;
+  options.advisor.max_views = 1;
   GlobalSystem gis(options);
   Build(&gis);
   Transcript t(&gis);
@@ -219,13 +219,13 @@ std::string RunLifecycle(bool parallel) {
   PlannerOptions options;
   options.parallel_execution = parallel;
   options.worker_threads = 2;
-  options.max_concurrent_queries = 1;
-  options.admission_queue_limit = 3;
-  options.admission_max_wait_ms = 1000.0;
-  options.query_mem_bytes = 64000;
+  options.admission.max_concurrent = 1;
+  options.admission.queue_limit = 3;
+  options.admission.max_wait_ms = 1000.0;
+  options.memory.query_bytes = 64000;
   options.cursor_max_open = 2;
-  options.flight_shed_spike = 2;
-  options.flight_shed_window_ms = 1000.0;
+  options.flight.shed_spike = 2;
+  options.flight.shed_window_ms = 1000.0;
   GlobalSystem gis(options);
   Build(&gis);
   gis.EnableResultCache();

@@ -116,7 +116,7 @@ TEST(TenantAccountantTest, MemPeakIsMaxNotSum) {
 }
 
 TEST(TenantAccountantTest, OverflowFoldsIntoBucketAndInvariantHolds) {
-  TenantAccountant acct(/*max_tracked=*/2);
+  TenantAccountant acct(TenantConfig{.max_tracked = 2});
   acct.Record("a", MakeCharge(1, 1.0, 10));
   acct.Record("b", MakeCharge(2, 1.0, 10));
   // Map is full: c and d land in the overflow bucket; a and b keep
@@ -204,7 +204,8 @@ TEST(SloEngineTest, ShedsAreNeverGood) {
 
 TEST(SloEngineTest, RecoveryClearsAlertAndNewBreachRaisesAgain) {
   SloEngine slo;
-  slo.Configure(/*fast=*/100.0, /*slow=*/1000.0, /*burn=*/2.0);
+  slo.Configure(
+      {.fast_window_ms = 100.0, .slow_window_ms = 1000.0, .burn_alert = 2.0});
   ASSERT_EQ(slo.Record(2, 10.0, 400.0, false).size(), 1u);
   // Flood both windows with good events until attainment recovers past
   // the alert threshold (bad event ages out of the slow window too).
@@ -227,7 +228,8 @@ TEST(SloEngineTest, RecoveryClearsAlertAndNewBreachRaisesAgain) {
 
 TEST(SloEngineTest, AlertingClearsWhenTheBreachAgesOutUnderOtherTraffic) {
   SloEngine slo;
-  slo.Configure(/*fast=*/100.0, /*slow=*/1000.0, /*burn=*/2.0);
+  slo.Configure(
+      {.fast_window_ms = 100.0, .slow_window_ms = 1000.0, .burn_alert = 2.0});
   // Interactive breaches once; from then on only normal traffic
   // arrives, carrying the clock past the slow window.
   ASSERT_EQ(slo.Record(2, 10.0, 400.0, false).size(), 1u);
@@ -277,8 +279,8 @@ QueryFrame MakeFrame(double finish_ms, const std::string& shed = "") {
 
 TEST(FlightRecorderTest, RingKeepsMostRecentFrames) {
   FlightRecorder rec;
-  rec.Configure(/*ring=*/4, /*max_incidents=*/4, /*cooldown_ms=*/1000.0,
-                /*shed_spike=*/100, /*shed_window_ms=*/1000.0);
+  rec.Configure({.ring = 4, .max_incidents = 4, .cooldown_ms = 1000.0,
+                 .shed_spike = 100, .shed_window_ms = 1000.0});
   for (int i = 1; i <= 6; ++i) rec.RecordFrame(MakeFrame(i));
   const auto frames = rec.Frames();
   ASSERT_EQ(frames.size(), 4u);
@@ -299,8 +301,8 @@ TEST(FlightRecorderTest, LongSqlIsTruncatedInFrames) {
 
 TEST(FlightRecorderTest, ShedSpikeTriggersOnceUnderCooldown) {
   FlightRecorder rec;
-  rec.Configure(/*ring=*/16, /*max_incidents=*/8, /*cooldown_ms=*/10000.0,
-                /*shed_spike=*/3, /*shed_window_ms=*/100.0);
+  rec.Configure({.ring = 16, .max_incidents = 8, .cooldown_ms = 10000.0,
+                 .shed_spike = 3, .shed_window_ms = 100.0});
   rec.SetSystemSnapshotFn([](double) { return std::string("{\"probe\":1}"); });
   rec.RecordFrame(MakeFrame(10.0, "queue_full"));
   rec.RecordFrame(MakeFrame(20.0, "queue_full"));
@@ -322,7 +324,8 @@ TEST(FlightRecorderTest, ShedSpikeTriggersOnceUnderCooldown) {
 
 TEST(FlightRecorderTest, SloAndBreakerTriggersHaveIndependentCooldowns) {
   FlightRecorder rec;
-  rec.Configure(16, 8, /*cooldown_ms=*/1000.0, 100, 100.0);
+  rec.Configure({.ring = 16, .max_incidents = 8, .cooldown_ms = 1000.0,
+                 .shed_spike = 100, .shed_window_ms = 100.0});
   rec.OnSloAlert("interactive", 10.0, 5.0, 3.0);
   rec.OnBreakerOpen("hq", 10.0);  // different trigger kind: not blocked
   EXPECT_EQ(rec.incidents_captured(), 2);
@@ -340,8 +343,9 @@ TEST(FlightRecorderTest, SloAndBreakerTriggersHaveIndependentCooldowns) {
 
 TEST(FlightRecorderTest, DisabledRecorderCapturesNothing) {
   FlightRecorder rec;
-  rec.Configure(16, 8, 0.0, 1, 1000.0);
-  rec.set_enabled(false);
+  rec.Configure({.enabled = false, .ring = 16, .max_incidents = 8,
+                 .cooldown_ms = 0.0, .shed_spike = 1,
+                 .shed_window_ms = 1000.0});
   rec.RecordFrame(MakeFrame(1.0, "queue_full"));
   rec.OnSloAlert("interactive", 2.0, 5.0, 3.0);
   rec.OnBreakerOpen("hq", 3.0);
@@ -351,7 +355,8 @@ TEST(FlightRecorderTest, DisabledRecorderCapturesNothing) {
 
 TEST(FlightRecorderTest, IncidentListIsBoundedButCounterIsNot) {
   FlightRecorder rec;
-  rec.Configure(4, /*max_incidents=*/2, /*cooldown_ms=*/0.0, 100, 100.0);
+  rec.Configure({.ring = 4, .max_incidents = 2, .cooldown_ms = 0.0,
+                 .shed_spike = 100, .shed_window_ms = 100.0});
   for (int i = 0; i < 5; ++i) {
     rec.OnBreakerOpen("s" + std::to_string(i), i * 10.0);
   }
@@ -514,11 +519,11 @@ TEST(WorkloadIntelligenceTest, GisSloTableReflectsDefaultLadder) {
 
 TEST(WorkloadIntelligenceTest, ShedSpikeShowsUpInGisIncidents) {
   PlannerOptions options;
-  options.admission_control = true;
-  options.max_concurrent_queries = 1;
-  options.admission_queue_limit = 0;  // any overlap sheds immediately
-  options.flight_shed_spike = 3;
-  options.flight_shed_window_ms = 10'000.0;
+  options.admission.enabled = true;
+  options.admission.max_concurrent = 1;
+  options.admission.queue_limit = 0;  // any overlap sheds immediately
+  options.flight.shed_spike = 3;
+  options.flight.shed_window_ms = 10'000.0;
   GlobalSystem gis(options);
   Build(&gis);
 
@@ -616,10 +621,10 @@ TEST(WorkloadIntelligenceDeterminismTest, SerialAndPooledAreIdentical) {
   auto run = [](bool parallel) {
     PlannerOptions options;
     options.parallel_execution = parallel;
-    options.admission_control = true;
-    options.max_concurrent_queries = 1;
-    options.admission_queue_limit = 0;
-    options.flight_shed_spike = 2;
+    options.admission.enabled = true;
+    options.admission.max_concurrent = 1;
+    options.admission.queue_limit = 0;
+    options.flight.shed_spike = 2;
     auto gis = std::make_unique<GlobalSystem>(options);
     Build(gis.get());
     for (int i = 0; i < 8; ++i) {

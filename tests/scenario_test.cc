@@ -32,9 +32,9 @@ WorkloadSpec SmallFederation() {
 PlannerOptions TightOptions() {
   PlannerOptions options;
   options.parallel_execution = false;
-  options.max_concurrent_queries = 2;
-  options.admission_queue_limit = 6;
-  options.admission_max_wait_ms = 40.0;
+  options.admission.max_concurrent = 2;
+  options.admission.queue_limit = 6;
+  options.admission.max_wait_ms = 40.0;
   options.cursor_max_open = 8;
   return options;
 }
