@@ -449,5 +449,232 @@ TEST(SourceRpcTest, ProcessingTimeScalesWithRows) {
   EXPECT_GT(r_big->elapsed_ms, r_small->elapsed_ms);
 }
 
+// ---------------------------------------------------------------------------
+// Fragment shapes: each test pins the exact rows (and their order) that
+// ExecuteFragment returns for one pushdown shape, ties and NULLs
+// included, so the operator bodies a source runs can be swapped without
+// changing an answer.
+// ---------------------------------------------------------------------------
+
+class FragmentShapeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(src_.ExecuteLocalSql("CREATE TABLE ord (id bigint, cust "
+                                     "bigint, amount double, region "
+                                     "varchar)")
+                    .ok());
+    // Ties on amount and region, NULL amounts, a NULL and a dangling
+    // customer key.
+    ASSERT_TRUE(src_.ExecuteLocalSql(
+                        "INSERT INTO ord VALUES (0, 1, 5.0, 'w'), "
+                        "(1, 2, NULL, 'e'), (2, 1, 3.0, 'e'), "
+                        "(3, 3, 5.0, 'w'), (4, 2, NULL, 'w'), "
+                        "(5, 9, 3.0, 'e'), (6, 3, 5.0, 'e'), "
+                        "(7, NULL, 1.0, 'w')")
+                    .ok());
+    ASSERT_TRUE(src_.ExecuteLocalSql(
+                        "CREATE TABLE cust (id bigint, name varchar, tier "
+                        "bigint)")
+                    .ok());
+    ASSERT_TRUE(src_.ExecuteLocalSql("INSERT INTO cust VALUES (1, 'ann', "
+                                     "2), (2, 'bob', 1), (3, 'cyd', 2)")
+                    .ok());
+  }
+
+  /// Binds `text` over `ord`'s columns, or over `ord ++ cust` when
+  /// `joined` (the row space of an index-nested-loop join).
+  ExprPtr Bind(const std::string& text, bool joined = false) {
+    std::vector<Field> fields =
+        (*src_.engine().GetTable("ord"))->schema()->fields();
+    if (joined) {
+      const auto& inner = (*src_.engine().GetTable("cust"))->schema();
+      fields.insert(fields.end(), inner->fields().begin(),
+                    inner->fields().end());
+    }
+    const Schema schema(std::move(fields));
+    auto ast = sql::ParseScalarExpr(text);
+    EXPECT_TRUE(ast.ok()) << text;
+    auto e = Binder(schema).BindScalar(**ast);
+    EXPECT_TRUE(e.ok()) << e.status().ToString();
+    return *e;
+  }
+
+  static BoundAggregate Agg(AggKind kind, ExprPtr arg, TypeId type,
+                            std::string display, bool distinct = false) {
+    BoundAggregate a;
+    a.kind = kind;
+    a.arg = std::move(arg);
+    a.result_type = type;
+    a.display = std::move(display);
+    a.distinct = distinct;
+    return a;
+  }
+
+  /// Runs `frag` over `ord` and returns column `col` of every row.
+  std::vector<std::string> Column(FragmentPlan frag, size_t col,
+                                  int64_t* scanned = nullptr) {
+    frag.table = "ord";
+    auto batch = src_.ExecuteFragment(frag, scanned);
+    EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+    std::vector<std::string> out;
+    if (!batch.ok()) return out;
+    for (const Row& row : batch->rows()) out.push_back(row[col].ToString());
+    return out;
+  }
+
+  using Strings = std::vector<std::string>;
+  ComponentSource src_{"s1", SourceDialect::kRelational};
+};
+
+TEST_F(FragmentShapeTest, OrderByKeepsTiesInInputOrderWithNullsLowest) {
+  FragmentPlan frag;
+  frag.order_by = {Bind("amount")};
+  frag.order_ascending = {true};
+  EXPECT_EQ(Column(frag, 0), (Strings{"1", "4", "7", "2", "5", "0", "3", "6"}));
+  frag.order_ascending = {false};
+  EXPECT_EQ(Column(frag, 0), (Strings{"0", "3", "6", "2", "5", "7", "1", "4"}));
+  frag.order_by = {Bind("region"), Bind("amount")};
+  frag.order_ascending = {true, false};
+  EXPECT_EQ(Column(frag, 0), (Strings{"6", "2", "5", "1", "0", "3", "7", "4"}));
+  // Top-N cuts after the sort, inside a tie.
+  frag.order_by = {Bind("amount")};
+  frag.order_ascending = {false};
+  frag.limit = 2;
+  EXPECT_EQ(Column(frag, 0), (Strings{"0", "3"}));
+  frag.order_ascending = {true};
+  frag.limit = 1;
+  EXPECT_EQ(Column(frag, 0), (Strings{"1"}));
+}
+
+TEST_F(FragmentShapeTest, TopNOverAnAggregate) {
+  FragmentPlan frag;
+  frag.has_aggregate = true;
+  frag.group_by = {Bind("cust")};
+  frag.aggregates = {
+      Agg(AggKind::kCountStar, nullptr, TypeId::kInt64, "COUNT(*)"),
+      Agg(AggKind::kSum, Bind("amount"), TypeId::kDouble, "SUM(amount)")};
+  // Groups in first-seen order: 1, 2, 3, 9, NULL.
+  frag.order_by = {MakeColumn(2, TypeId::kDouble, "SUM(amount)")};
+  frag.order_ascending = {false};
+  frag.limit = 3;
+  EXPECT_EQ(Column(frag, 0), (Strings{"3", "1", "9"}));
+  EXPECT_EQ(Column(frag, 2), (Strings{"10", "8", "3"}));
+  frag.order_ascending = {true};
+  frag.limit = 2;
+  EXPECT_EQ(Column(frag, 0), (Strings{"2", "NULL"}));
+  frag.order_by = {MakeColumn(1, TypeId::kInt64, "COUNT(*)")};
+  frag.order_ascending = {false};
+  EXPECT_EQ(Column(frag, 0), (Strings{"1", "2"}));
+}
+
+TEST_F(FragmentShapeTest, AggregateWithLimitAndNoOrderKeepsFirstGroups) {
+  FragmentPlan frag;
+  frag.has_aggregate = true;
+  frag.group_by = {Bind("cust")};
+  frag.aggregates = {
+      Agg(AggKind::kCountStar, nullptr, TypeId::kInt64, "COUNT(*)")};
+  frag.limit = 2;
+  EXPECT_EQ(Column(frag, 0), (Strings{"1", "2"}));
+  EXPECT_EQ(Column(frag, 1), (Strings{"2", "2"}));
+  frag.limit = 0;
+  EXPECT_EQ(Column(frag, 0), Strings{});
+  // A global aggregate under LIMIT 0 emits no row either.
+  frag.group_by.clear();
+  EXPECT_EQ(Column(frag, 0), Strings{});
+  frag.limit = 1;
+  EXPECT_EQ(Column(frag, 0), (Strings{"8"}));
+}
+
+TEST_F(FragmentShapeTest, ProjectionWithLimitAndNoOrderStopsEarly) {
+  FragmentPlan frag;
+  frag.projections = {Bind("id"), Bind("100 / (id - 3)")};
+  frag.projection_names = {"id", "q"};
+  frag.limit = 3;
+  // Row 3 would divide by zero; the projection stops before it.
+  EXPECT_EQ(Column(frag, 0), (Strings{"0", "1", "2"}));
+  EXPECT_EQ(Column(frag, 1), (Strings{"-33", "-50", "-100"}));
+  frag.limit = 4;
+  frag.table = "ord";
+  EXPECT_FALSE(src_.ExecuteFragment(frag).ok());
+  // Without projections the rows pass through, cut at the limit.
+  frag.projections.clear();
+  frag.projection_names.clear();
+  frag.limit = 2;
+  EXPECT_EQ(Column(frag, 0), (Strings{"0", "1"}));
+  // A filter sees every row, so its error past the limit still
+  // surfaces, as it would at the mediator.
+  frag.filter = Bind("100 / (id - 5) > -1000");
+  frag.table = "ord";
+  EXPECT_FALSE(src_.ExecuteFragment(frag).ok());
+  frag.filter = Bind("amount > 2.0");
+  EXPECT_EQ(Column(frag, 0), (Strings{"0", "2"}));
+}
+
+TEST_F(FragmentShapeTest, IndexJoinWithPostJoinFilterAndTopN) {
+  FragmentPlan frag;
+  frag.join_table = "cust";
+  frag.join_outer_column = 1;
+  frag.join_inner_column = 0;
+  // References a customer column, so it runs on the joined row.
+  frag.filter = Bind("cust.tier = 2 AND ord.amount IS NOT NULL", true);
+  frag.order_by = {Bind("ord.amount", true)};
+  frag.order_ascending = {true};
+  frag.limit = 3;
+  int64_t scanned = 0;
+  EXPECT_EQ(Column(frag, 0, &scanned), (Strings{"2", "0", "3"}));
+  // 8 outer rows plus 6 inner matches (NULL and dangling keys probe
+  // nothing).
+  EXPECT_EQ(scanned, 14);
+  EXPECT_EQ(Column(frag, 5), (Strings{"'ann'", "'ann'", "'cyd'"}));
+  // An outer-only filter prunes probes before the join.
+  frag.filter = Bind("ord.region = 'e'", true);
+  frag.order_ascending = {false};
+  frag.limit = -1;
+  EXPECT_EQ(Column(frag, 0, &scanned), (Strings{"6", "2", "1"}));
+  EXPECT_EQ(scanned, 11);
+}
+
+TEST_F(FragmentShapeTest, AggregateOutsideTheColumnarSubsetUsesRowKernel) {
+  FragmentPlan frag;
+  frag.has_aggregate = true;
+  // A comparison group key and a DISTINCT aggregate are both outside
+  // the columnar kernel's subset.
+  frag.group_by = {Bind("amount > 4.0")};
+  frag.aggregates = {
+      Agg(AggKind::kCountStar, nullptr, TypeId::kInt64, "COUNT(*)"),
+      Agg(AggKind::kMax, Bind("amount"), TypeId::kDouble, "MAX(amount)",
+          /*distinct=*/true)};
+  EXPECT_EQ(Column(frag, 0), (Strings{"true", "NULL", "false"}));
+  EXPECT_EQ(Column(frag, 1), (Strings{"3", "2", "3"}));
+  EXPECT_EQ(Column(frag, 2), (Strings{"5", "NULL", "3"}));
+  frag.order_by = {MakeColumn(0, TypeId::kBool, "amount > 4.0")};
+  frag.order_ascending = {true};
+  frag.limit = 2;
+  EXPECT_EQ(Column(frag, 0), (Strings{"NULL", "false"}));
+}
+
+TEST_F(FragmentShapeTest, ReadYourWritesRowsUnderTopN) {
+  ASSERT_TRUE(src_.PrepareTxnAt("g1",
+                                "INSERT INTO ord VALUES (20, 1, 4.0, 'x'), "
+                                "(21, 2, NULL, 'x')",
+                                1, /*numeric_txn_id=*/7, /*snapshot_ts=*/0)
+                  .ok());
+  ASSERT_TRUE(src_.PrepareTxnAt("g1", "DELETE FROM ord WHERE id = 3", 2, 7, 0)
+                  .ok());
+  FragmentPlan frag;
+  frag.txn_id = 7;
+  frag.order_by = {Bind("amount")};
+  frag.order_ascending = {false};
+  frag.limit = 4;
+  // Staged inserts follow the heap rows; the staged delete hides id 3.
+  EXPECT_EQ(Column(frag, 0), (Strings{"0", "6", "20", "2"}));
+  frag.order_ascending = {true};
+  EXPECT_EQ(Column(frag, 0), (Strings{"1", "4", "21", "7"}));
+  // Another reader sees neither staged write.
+  frag.txn_id = 0;
+  frag.order_ascending = {false};
+  EXPECT_EQ(Column(frag, 0), (Strings{"0", "3", "6", "2"}));
+}
+
 }  // namespace
 }  // namespace gisql
