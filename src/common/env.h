@@ -49,4 +49,11 @@ void EnvOverride(const char* name, T* out) {
   if (const std::optional<T> v = EnvValue<T>(name)) *out = *v;
 }
 
+/// \brief EnvOverride for a size or a count: a value below 1 is a
+/// typo, not a tuning, and keeps `*out` too.
+template <typename T>
+void EnvOverridePositive(const char* name, T* out) {
+  if (const std::optional<T> v = EnvValue<T>(name); v && *v > 0) *out = *v;
+}
+
 }  // namespace gisql

@@ -71,16 +71,14 @@ Result<std::string> GlobalSystem::MaterializeReplica(
       std::vector<uint8_t> rows_payload,
       RetriedCall(owner_source, wire::Opcode::kExecuteFragmentColumnar,
                   wire::SerializeFragment(frag)));
-  ByteReader rows_reader(rows_payload);
-  GISQL_ASSIGN_OR_RETURN(wire::ResultBatch rows,
-                         wire::ReadResultBatch(&rows_reader));
-  // A page-stats trailer follows the batch; it is irrelevant here.
+  GISQL_ASSIGN_OR_RETURN(wire::FragmentResponse rows,
+                         wire::ReadFragmentResponse(rows_payload));
 
   // 2. Push them to the target as one bulk load. Single-attempt: the
   // load creates a table, which is not idempotent under retry.
   ByteWriter load;
   load.PutString(replica_exported);
-  wire::WriteBatch(&load, rows.rows);
+  wire::WriteBatch(&load, rows.batch.rows);
   GISQL_ASSIGN_OR_RETURN(
       RpcResult rpc,
       network_.Call(kMediatorHost, target_source,

@@ -10,7 +10,7 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "core/source_health.h"
-#include "exec/hash_aggregate.h"
+#include "exec/operators.h"
 #include "exec/vectorized.h"
 #include "expr/eval.h"
 #include "net/retry.h"
@@ -119,43 +119,6 @@ Status AdoptPlanSchema(const PlanNode& node, const std::string& source,
     result->columnar->AdoptSchema(node.output_schema);
   }
   return Status::OK();
-}
-
-Result<RowBatch> FilterRows(const PlanNode& node, RowBatch rows,
-                            const ColumnBatch* columnar) {
-  RowBatch out(node.output_schema);
-  if (columnar != nullptr &&
-      IsVectorizablePredicate(*node.filter, *columnar)) {
-    // The vectorizable subset is total and replicates the row
-    // evaluator's Kleene semantics, so the selected set is identical.
-    GISQL_ASSIGN_OR_RETURN(ColumnRef pred,
-                           EvalPredicateColumnar(*node.filter, *columnar));
-    const std::vector<uint32_t> sel =
-        SelectTrue(pred.get(), columnar->num_rows());
-    out.Reserve(sel.size());
-    for (uint32_t r : sel) out.Append(std::move(rows.rows()[r]));
-    return out;
-  }
-  for (auto& row : rows.rows()) {
-    GISQL_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*node.filter, row));
-    if (keep) out.Append(std::move(row));
-  }
-  return out;
-}
-
-Result<RowBatch> ProjectRows(const PlanNode& node, const RowBatch& rows) {
-  RowBatch out(node.output_schema);
-  out.Reserve(rows.num_rows());
-  for (const auto& row : rows.rows()) {
-    Row projected;
-    projected.reserve(node.projections.size());
-    for (const auto& p : node.projections) {
-      GISQL_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, row));
-      projected.push_back(std::move(v));
-    }
-    out.Append(std::move(projected));
-  }
-  return out;
 }
 
 Status AppendUnionMember(const PlanNode& node, RowBatch rows,
@@ -299,33 +262,19 @@ Result<ExecOutput> Executor::ExecFragment(const PlanNode& node,
     node.actual_attempts = total_attempts;
   }
   GISQL_RETURN_NOT_OK(answer.status());
-  const std::string& source = *answer->source;
-  ByteReader reader(answer->payload);
-  GISQL_ASSIGN_OR_RETURN(wire::ResultBatch result,
-                         wire::ReadResultBatch(&reader));
-  GISQL_RETURN_NOT_OK(AdoptPlanSchema(node, source, &result));
-  // Page-stats trailer (sources with paged storage append it after
-  // the batch payload; absence just leaves the actuals unset).
-  if (!reader.AtEnd()) {
-    GISQL_ASSIGN_OR_RETURN(uint64_t page_hits, reader.GetVarint());
-    GISQL_ASSIGN_OR_RETURN(uint64_t page_misses, reader.GetVarint());
-    GISQL_ASSIGN_OR_RETURN(uint64_t evictions, reader.GetVarint());
-    GISQL_ASSIGN_OR_RETURN(double disk_us, reader.GetDouble());
-    if (ctx_.record_actuals) {
-      node.actual_page_hits = static_cast<int64_t>(page_hits);
-      node.actual_page_misses = static_cast<int64_t>(page_misses);
-      node.actual_evictions = static_cast<int64_t>(evictions);
-      node.actual_disk_ms = disk_us / 1e3;
-    }
-  }
-  if (!reader.AtEnd()) {
-    return Status::SerializationError(
-        "trailing bytes after the fragment result from source '", source,
-        "'");
+  GISQL_ASSIGN_OR_RETURN(wire::FragmentResponse response,
+                         wire::ReadFragmentResponse(answer->payload));
+  GISQL_RETURN_NOT_OK(
+      AdoptPlanSchema(node, *answer->source, &response.batch));
+  if (ctx_.record_actuals) {
+    node.actual_page_hits = response.pages.page_hits;
+    node.actual_page_misses = response.pages.page_misses;
+    node.actual_evictions = response.pages.evictions;
+    node.actual_disk_ms = response.pages.disk_us / 1e3;
   }
   ExecOutput out;
-  out.batch = std::move(result.rows);
-  out.columnar = std::move(result.columnar);
+  out.batch = std::move(response.batch.rows);
+  out.columnar = std::move(response.batch.columnar);
   out.elapsed_ms = answer->elapsed_ms;
   GISQL_RETURN_NOT_OK(ChargeMemory(out.batch.num_rows(),
                                    node.output_schema->num_fields(),
@@ -626,8 +575,9 @@ Result<ExecOutput> Executor::ApplyFilter(const PlanNode& node,
                                          ExecOutput child) {
   ExecOutput out;
   out.elapsed_ms = child.elapsed_ms + CpuMs(ctx_, child.batch.num_rows());
-  GISQL_ASSIGN_OR_RETURN(out.batch, FilterRows(node, std::move(child.batch),
-                                               child.columnar.get()));
+  GISQL_ASSIGN_OR_RETURN(out.batch,
+                         FilterRows(*node.filter, std::move(child.batch),
+                                    child.columnar.get()));
   return out;
 }
 
@@ -635,7 +585,9 @@ Result<ExecOutput> Executor::ApplyProject(const PlanNode& node,
                                           ExecOutput child) {
   ExecOutput out;
   out.elapsed_ms = child.elapsed_ms + CpuMs(ctx_, child.batch.num_rows());
-  GISQL_ASSIGN_OR_RETURN(out.batch, ProjectRows(node, child.batch));
+  GISQL_ASSIGN_OR_RETURN(out.batch, ProjectRows(node.projections,
+                                                node.output_schema,
+                                                child.batch));
   GISQL_RETURN_NOT_OK(ChargeMemory(out.batch.num_rows(),
                                    node.output_schema->num_fields(),
                                    "a projected result"));
@@ -692,28 +644,10 @@ Result<ExecOutput> Executor::ExecAggregate(const PlanNode& node, double t0,
   GISQL_ASSIGN_OR_RETURN(ExecOutput child, Exec(*node.children[0], t0, self));
   ExecOutput result;
   result.elapsed_ms = child.elapsed_ms + CpuMs(ctx_, child.batch.num_rows());
-  // Vectorized path: group keys and aggregate inputs computed over
-  // contiguous columns, no per-cell Value materialization.
-  if (child.columnar != nullptr &&
-      CanVectorizeAggregate(node.group_by, node.aggregates,
-                            *child.columnar)) {
-    GISQL_ASSIGN_OR_RETURN(
-        result.batch,
-        HashAggregateColumnar(*child.columnar, node.group_by,
-                              node.aggregates, node.output_schema));
-    GISQL_RETURN_NOT_OK(ChargeMemory(result.batch.num_rows(),
-                                     node.output_schema->num_fields(),
-                                     "an aggregate result"));
-    return result;
-  }
-  std::vector<const Row*> rows;
-  rows.reserve(child.batch.num_rows());
-  for (const auto& row : child.batch.rows()) rows.push_back(&row);
   GISQL_ASSIGN_OR_RETURN(
-      RowBatch out,
-      HashAggregate(rows, node.group_by, node.aggregates,
-                    node.output_schema));
-  result.batch = std::move(out);
+      result.batch,
+      AggregateRows(child.batch, child.columnar.get(), node.group_by,
+                    node.aggregates, node.output_schema));
   GISQL_RETURN_NOT_OK(ChargeMemory(result.batch.num_rows(),
                                    node.output_schema->num_fields(),
                                    "an aggregate result"));
@@ -793,40 +727,25 @@ Result<ExecOutput> Executor::ExecImpl(const PlanNode& node, double t0,
       GISQL_RETURN_NOT_OK(ChargeMemory(child.batch.num_rows(),
                                        node.output_schema->num_fields(),
                                        "a sort buffer"));
-      auto& rows = child.batch.rows();
-      std::stable_sort(rows.begin(), rows.end(),
-                       [&](const Row& a, const Row& b) {
-                         for (size_t i = 0; i < node.sort_columns.size();
-                              ++i) {
-                           const size_t c = node.sort_columns[i];
-                           const int cmp = a[c].Compare(b[c]);
-                           if (cmp != 0) {
-                             return node.sort_ascending[i] ? cmp < 0
-                                                           : cmp > 0;
-                           }
-                         }
-                         return false;
-                       });
+      std::vector<ExprPtr> keys;
+      for (size_t c : node.sort_columns) {
+        keys.push_back(MakeColumn(c, node.output_schema->field(c).type));
+      }
+      GISQL_RETURN_NOT_OK(
+          SortRows(keys, node.sort_ascending, &child.batch));
       // Sorting costs ~n log n row touches.
-      const double n = static_cast<double>(rows.size());
+      const double n = static_cast<double>(child.batch.num_rows());
       child.elapsed_ms +=
           CpuMs(ctx_, static_cast<size_t>(n * std::max(1.0, std::log2(n + 1))));
-      child.batch = RowBatch(node.output_schema, std::move(rows));
+      child.batch = RowBatch(node.output_schema, std::move(child.batch.rows()));
       return child;
     }
 
     case PlanKind::kLimit: {
       GISQL_ASSIGN_OR_RETURN(ExecOutput child,
                              Exec(*node.children[0], t0, self));
-      auto& rows = child.batch.rows();
-      const int64_t begin =
-          std::min<int64_t>(node.offset, static_cast<int64_t>(rows.size()));
-      int64_t end = static_cast<int64_t>(rows.size());
-      if (node.limit >= 0) {
-        end = std::min<int64_t>(end, begin + node.limit);
-      }
-      std::vector<Row> sliced(rows.begin() + begin, rows.begin() + end);
-      child.batch = RowBatch(node.output_schema, std::move(sliced));
+      SliceRows(node.offset, node.limit, &child.batch);
+      child.batch = RowBatch(node.output_schema, std::move(child.batch.rows()));
       return child;
     }
 

@@ -105,10 +105,11 @@ struct ExecOutput {
 /// \name Pieces shared by both executors
 ///
 /// The materializing Executor and the streaming pipeline
-/// (exec/streaming.h) run one fragment path and one body per
-/// operator; they differ only in whether a batch is a whole result or
-/// one chunk of it. A `columnar` argument, when non-null, holds the
-/// same rows as the batch beside it.
+/// (exec/streaming.h) run one fragment path, and the operator bodies
+/// of exec/operators.h that component sources run too; they differ
+/// only in whether a batch is a whole result or one chunk of it. A
+/// `columnar` argument, when non-null, holds the same rows as the
+/// batch beside it.
 /// @{
 
 /// \brief Simulated mediator CPU for processing `rows` rows.
@@ -146,15 +147,6 @@ Result<ReplicaAnswer> CallReplicas(const ExecContext& ctx,
 /// for downstream name resolution.
 Status AdoptPlanSchema(const PlanNode& node, const std::string& source,
                        wire::ResultBatch* result);
-
-/// \brief Keeps the rows where `node.filter` is TRUE. A vectorizable
-/// predicate over `columnar` runs as a columnar kernel into a selection
-/// vector; otherwise the row evaluator runs. Both keep the same rows.
-Result<RowBatch> FilterRows(const PlanNode& node, RowBatch rows,
-                            const ColumnBatch* columnar);
-
-/// \brief Evaluates `node.projections` over every row.
-Result<RowBatch> ProjectRows(const PlanNode& node, const RowBatch& rows);
 
 /// \brief Appends a UNION ALL member's rows to `out`, casting values to
 /// the view's column types. When every column of `columnar` already

@@ -6,6 +6,7 @@
 
 #include "common/hash.h"
 #include "common/logging.h"
+#include "exec/operators.h"
 #include "net/retry.h"
 #include "wire/cursor.h"
 #include "wire/protocol.h"
@@ -202,17 +203,10 @@ class LimitStream : public RowStream {
       chunk.bytes_sent += in.bytes_sent;
       chunk.bytes_received += in.bytes_received;
       chunk.messages += in.messages;
+      const int64_t arrived = static_cast<int64_t>(in.rows.num_rows());
+      SliceRows(skip_, remaining_, &in.rows);
+      skip_ -= std::min(skip_, arrived);
       auto& rows = in.rows.rows();
-      const int64_t drop =
-          std::min(skip_, static_cast<int64_t>(rows.size()));
-      if (drop > 0) {
-        rows.erase(rows.begin(), rows.begin() + drop);
-        skip_ -= drop;
-      }
-      if (remaining_ >= 0 &&
-          static_cast<int64_t>(rows.size()) > remaining_) {
-        rows.resize(static_cast<size_t>(remaining_));
-      }
       if (remaining_ >= 0) remaining_ -= static_cast<int64_t>(rows.size());
       const bool child_done = in.done;
       const bool limit_hit = remaining_ == 0;
@@ -361,7 +355,7 @@ Result<std::unique_ptr<RowStream>> Build(const ExecContext& ctx,
       return std::unique_ptr<RowStream>(new MapStream(
           ctx, node, std::move(child),
           [node](RowBatch rows, const ColumnBatch* columnar) {
-            return FilterRows(*node, std::move(rows), columnar);
+            return FilterRows(*node->filter, std::move(rows), columnar);
           }));
     }
     case PlanKind::kProject: {
@@ -371,7 +365,7 @@ Result<std::unique_ptr<RowStream>> Build(const ExecContext& ctx,
       return std::unique_ptr<RowStream>(new MapStream(
           ctx, node, std::move(child),
           [node](RowBatch rows, const ColumnBatch*) {
-            return ProjectRows(*node, rows);
+            return ProjectRows(node->projections, node->output_schema, rows);
           }));
     }
     case PlanKind::kLimit: {

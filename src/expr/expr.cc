@@ -301,4 +301,22 @@ ExprPtr ShiftColumns(const Expr& e, size_t delta) {
   return out;
 }
 
+Result<ExprPtr> SubstituteColumns(const Expr& e,
+                                  const std::vector<ExprPtr>& exprs) {
+  if (e.kind == ExprKind::kColumn) {
+    if (e.column_index >= exprs.size()) {
+      return Status::Internal("substitution index $", e.column_index,
+                              " out of range");
+    }
+    return exprs[e.column_index]->Clone();
+  }
+  auto out = std::make_shared<Expr>(e);
+  out->children.clear();
+  for (const auto& c : e.children) {
+    GISQL_ASSIGN_OR_RETURN(ExprPtr nc, SubstituteColumns(*c, exprs));
+    out->children.push_back(std::move(nc));
+  }
+  return out;
+}
+
 }  // namespace gisql

@@ -115,4 +115,10 @@ Result<ExprPtr> RemapColumns(const Expr& e,
 /// over a join's right side is evaluated against the concatenated row).
 ExprPtr ShiftColumns(const Expr& e, size_t delta);
 
+/// \brief Substitutes column references through a projection: column i
+/// becomes a clone of `exprs[i]`. A column past `exprs` is an Internal
+/// error.
+Result<ExprPtr> SubstituteColumns(const Expr& e,
+                                  const std::vector<ExprPtr>& exprs);
+
 }  // namespace gisql

@@ -47,6 +47,11 @@ std::vector<SloAlert> SloEngine::Record(int priority, double finish_ms,
   last_event_ms_ = now;
   for (auto& tracked : tracked_) {
     if (tracked.objective.priority != priority) continue;
+    // A breach that aged out since this objective's last event (say,
+    // under other priorities' traffic) releases the latch before the
+    // new event counts, so a fresh breach is a new rising edge. Only a
+    // set latch pays for this extra window scan.
+    if (tracked.alerting) tracked.alerting = Evaluate(tracked, now).alerting;
     bool good = !shed && sojourn_ms <= tracked.objective.target_ms;
     tracked.events.push_back({now, good});
     while (!tracked.events.empty() &&

@@ -8,25 +8,6 @@ namespace gisql {
 
 namespace {
 
-/// Substitutes column refs through a projection list (clone semantics).
-Result<ExprPtr> SubstituteColumns(const Expr& e,
-                                  const std::vector<ExprPtr>& exprs) {
-  if (e.kind == ExprKind::kColumn) {
-    if (e.column_index >= exprs.size()) {
-      return Status::Internal("substitution index $", e.column_index,
-                              " out of range in decomposer");
-    }
-    return exprs[e.column_index]->Clone();
-  }
-  auto out = std::make_shared<Expr>(e);
-  out->children.clear();
-  for (const auto& c : e.children) {
-    GISQL_ASSIGN_OR_RETURN(ExprPtr nc, SubstituteColumns(*c, exprs));
-    out->children.push_back(std::move(nc));
-  }
-  return out;
-}
-
 bool IsPlainFragment(const PlanNode& node) {
   return node.kind == PlanKind::kRemoteFragment &&
          !node.fragment.has_aggregate && node.fragment.limit < 0;

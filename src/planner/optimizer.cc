@@ -9,40 +9,6 @@ namespace gisql {
 
 namespace {
 
-/// Substitutes column references through a projection: column i becomes
-/// a clone of `exprs[i]`.
-Result<ExprPtr> SubstituteColumns(const Expr& e,
-                                  const std::vector<ExprPtr>& exprs) {
-  if (e.kind == ExprKind::kColumn) {
-    if (e.column_index >= exprs.size()) {
-      return Status::Internal("substitution index $", e.column_index,
-                              " out of range");
-    }
-    return exprs[e.column_index]->Clone();
-  }
-  auto out = std::make_shared<Expr>(e);
-  out->children.clear();
-  for (const auto& c : e.children) {
-    GISQL_ASSIGN_OR_RETURN(ExprPtr nc, SubstituteColumns(*c, exprs));
-    out->children.push_back(std::move(nc));
-  }
-  return out;
-}
-
-/// True if every column referenced is < `width`.
-bool RefsOnlyBelow(const Expr& e, size_t width) {
-  return e.ColumnsWithin(0, width);
-}
-
-/// True if every column referenced is >= `lo`.
-bool RefsOnlyAtOrAbove(const Expr& e, size_t lo) {
-  if (e.kind == ExprKind::kColumn) return e.column_index >= lo;
-  for (const auto& c : e.children) {
-    if (!RefsOnlyAtOrAbove(*c, lo)) return false;
-  }
-  return true;
-}
-
 PlanNodePtr WrapFilter(PlanNodePtr node, std::vector<ExprPtr> conjuncts) {
   if (conjuncts.empty()) return node;
   return MakeFilterNode(std::move(node), ConjoinAll(std::move(conjuncts)));
@@ -108,11 +74,11 @@ Result<PlanNodePtr> Optimizer::PushFilters(PlanNodePtr node,
         node->join_residual = nullptr;
       }
       for (auto& c : pending) {
-        if (RefsOnlyBelow(*c, lw)) {
+        if (c->ColumnsWithin(0, lw)) {
           left_pending.push_back(std::move(c));
           continue;
         }
-        if (RefsOnlyAtOrAbove(*c, lw)) {
+        if (c->ColumnsWithin(lw, total)) {
           if (inner) {
             // Shift into right-child space.
             std::vector<size_t> mapping(total, static_cast<size_t>(-1));
@@ -183,7 +149,7 @@ Result<PlanNodePtr> Optimizer::PushFilters(PlanNodePtr node,
       const size_t ngroups = node->group_by.size();
       std::vector<ExprPtr> below, stay;
       for (auto& c : pending) {
-        if (RefsOnlyBelow(*c, ngroups)) {
+        if (c->ColumnsWithin(0, ngroups)) {
           // Group-column conjunct: substitute group expressions to move
           // it below the aggregation.
           GISQL_ASSIGN_OR_RETURN(ExprPtr sub,

@@ -6,10 +6,7 @@ namespace gisql {
 
 void PlannerOptions::ApplyEnv() {
   EnvOverride("GISQL_ADMISSION_CONTROL", &admission.enabled);
-  // A slot count below 1 is not a tuning, it is a typo: keep the default.
-  if (const auto v = EnvValue<int>("GISQL_MAX_CONCURRENT"); v && *v > 0) {
-    admission.max_concurrent = *v;
-  }
+  EnvOverridePositive("GISQL_MAX_CONCURRENT", &admission.max_concurrent);
   EnvOverride("GISQL_ADMISSION_QUEUE", &admission.queue_limit);
   EnvOverride("GISQL_ADMISSION_WAIT_MS", &admission.max_wait_ms);
   EnvOverride("GISQL_QUERY_MEM_BYTES", &memory.query_bytes);
@@ -20,10 +17,10 @@ void PlannerOptions::ApplyEnv() {
   EnvOverride("GISQL_BREAKER_PROBE_RATIO", &breaker.probe_ratio);
   EnvOverride("GISQL_BREAKER_SEED", &breaker.seed);
   EnvOverride("GISQL_HEALTH_ROUTING", &health_aware_routing);
-  EnvOverride("GISQL_CURSOR_CHUNK_ROWS", &cursor_chunk_rows);
+  EnvOverridePositive("GISQL_CURSOR_CHUNK_ROWS", &cursor_chunk_rows);
   EnvOverride("GISQL_CURSOR_LEASE_MS", &cursor_lease_ms);
-  EnvOverride("GISQL_CURSOR_MAX_OPEN", &cursor_max_open);
-  EnvOverride("GISQL_TXN_MAX_ACTIVE", &txn_max_active);
+  EnvOverridePositive("GISQL_CURSOR_MAX_OPEN", &cursor_max_open);
+  EnvOverridePositive("GISQL_TXN_MAX_ACTIVE", &txn_max_active);
   EnvOverride("GISQL_TXN_MAX_RETRIES", &txn_max_prepare_retries);
   EnvOverride("GISQL_TXN_GC", &txn_gc);
   EnvOverride("GISQL_INDEX_RANGE_SCAN", &enable_index_range_scan);

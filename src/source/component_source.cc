@@ -5,8 +5,7 @@
 #include <unordered_set>
 
 #include "common/hash.h"
-#include "exec/hash_aggregate.h"
-#include "exec/vectorized.h"
+#include "exec/operators.h"
 #include "expr/binder.h"
 #include "expr/eval.h"
 #include "sql/parser.h"
@@ -161,52 +160,6 @@ Status ComponentSource::CheckCapabilities(const FragmentPlan& frag) const {
   }
   return Status::OK();
 }
-
-namespace {
-
-/// Sorts a batch by the fragment's order-by expressions (evaluated over
-/// the batch's own rows) and applies `limit`.
-Status SortAndLimit(RowBatch* batch, const std::vector<ExprPtr>& order_by,
-                    const std::vector<bool>& ascending, int64_t limit) {
-  if (!order_by.empty()) {
-    // Precompute sort keys so evaluation errors surface before sorting.
-    std::vector<std::pair<Row, size_t>> keyed;
-    keyed.reserve(batch->num_rows());
-    for (size_t i = 0; i < batch->num_rows(); ++i) {
-      Row keys;
-      keys.reserve(order_by.size());
-      for (const auto& e : order_by) {
-        GISQL_ASSIGN_OR_RETURN(Value k, EvalExpr(*e, batch->rows()[i]));
-        keys.push_back(std::move(k));
-      }
-      keyed.emplace_back(std::move(keys), i);
-    }
-    std::stable_sort(keyed.begin(), keyed.end(),
-                     [&](const auto& a, const auto& b) {
-                       for (size_t k = 0; k < order_by.size(); ++k) {
-                         const int c = a.first[k].Compare(b.first[k]);
-                         if (c != 0) {
-                           const bool asc =
-                               k < ascending.size() ? ascending[k] : true;
-                           return asc ? c < 0 : c > 0;
-                         }
-                       }
-                       return a.second < b.second;
-                     });
-    std::vector<Row> sorted;
-    sorted.reserve(keyed.size());
-    for (const auto& [keys, idx] : keyed) {
-      sorted.push_back(std::move(batch->rows()[idx]));
-    }
-    *batch = RowBatch(batch->schema(), std::move(sorted));
-  }
-  if (limit >= 0 && static_cast<int64_t>(batch->num_rows()) > limit) {
-    batch->rows().resize(static_cast<size_t>(limit));
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 namespace {
 
@@ -366,36 +319,16 @@ Result<RowBatch> ComponentSource::ExecuteFragment(const FragmentPlan& frag,
     }
   }
 
-  // The row space downstream operators see: the outer table's schema,
-  // extended by the inner table's under an index-nested-loop join.
-  SchemaPtr scan_schema = table->schema();
-
   // With a join, only a filter confined to outer columns may run before
   // probing (it prunes probes); anything wider waits for the
   // concatenated row.
-  ExprPtr pre_filter = frag.filter;
-  ExprPtr post_filter;
-  if (!frag.join_table.empty() && frag.filter) {
-    std::vector<size_t> cols;
-    frag.filter->CollectColumns(&cols);
-    for (size_t c : cols) {
-      if (c >= table->schema()->num_fields()) {
-        pre_filter = nullptr;
-        post_filter = frag.filter;
-        break;
-      }
-    }
-  }
-
-  std::vector<Row> filtered_rows;
-  if (pre_filter) {
-    filtered_rows.reserve(owned.size());
-    for (Row& row : owned) {
-      GISQL_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*pre_filter, row));
-      if (keep) filtered_rows.push_back(std::move(row));
-    }
-  } else {
-    filtered_rows = std::move(owned);
+  const size_t outer_width = table->schema()->num_fields();
+  const bool filter_after_join = !frag.join_table.empty() && frag.filter &&
+                                 !frag.filter->ColumnsWithin(0, outer_width);
+  RowBatch rows(table->schema(), std::move(owned));
+  if (frag.filter && !filter_after_join) {
+    GISQL_ASSIGN_OR_RETURN(rows,
+                           FilterRows(*frag.filter, std::move(rows), nullptr));
   }
 
   // Index-nested-loop join: probe the co-located inner table's index
@@ -403,7 +336,6 @@ Result<RowBatch> ComponentSource::ExecuteFragment(const FragmentPlan& frag,
   if (!frag.join_table.empty()) {
     GISQL_ASSIGN_OR_RETURN(TablePtr inner,
                            engine_.GetTable(frag.join_table));
-    const size_t outer_width = table->schema()->num_fields();
     const size_t inner_width = inner->schema()->num_fields();
     if (frag.join_outer_column < 0 ||
         static_cast<size_t>(frag.join_outer_column) >= outer_width) {
@@ -427,17 +359,8 @@ Result<RowBatch> ComponentSource::ExecuteFragment(const FragmentPlan& frag,
           frag.join_inner_column, " of table '", frag.join_table,
           "', which has no index");
     }
-    std::vector<Field> fields;
-    fields.reserve(outer_width + inner_width);
-    for (size_t i = 0; i < outer_width; ++i) {
-      fields.push_back(table->schema()->field(i));
-    }
-    for (size_t i = 0; i < inner_width; ++i) {
-      fields.push_back(inner->schema()->field(i));
-    }
-    scan_schema = std::make_shared<Schema>(std::move(fields));
     std::vector<Row> joined;
-    for (const Row& outer_row : filtered_rows) {
+    for (const Row& outer_row : rows.rows()) {
       const Value& key = outer_row[static_cast<size_t>(
           frag.join_outer_column)];
       if (key.is_null()) continue;
@@ -463,106 +386,48 @@ Result<RowBatch> ComponentSource::ExecuteFragment(const FragmentPlan& frag,
         joined.push_back(std::move(combined));
       }
     }
-    filtered_rows = std::move(joined);
-    if (post_filter) {
-      std::vector<Row> kept;
-      kept.reserve(filtered_rows.size());
-      for (Row& row : filtered_rows) {
-        GISQL_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*post_filter, row));
-        if (keep) kept.push_back(std::move(row));
-      }
-      filtered_rows = std::move(kept);
+    rows = RowBatch(std::make_shared<Schema>(
+                        table->schema()->Concat(*inner->schema())),
+                    std::move(joined));
+    if (filter_after_join) {
+      GISQL_ASSIGN_OR_RETURN(
+          rows, FilterRows(*frag.filter, std::move(rows), nullptr));
     }
   }
   if (rows_scanned != nullptr) *rows_scanned = scanned;
 
-  // Pointer view for the downstream aggregation/projection kernels.
-  std::vector<const Row*> filtered;
-  filtered.reserve(filtered_rows.size());
-  for (const Row& row : filtered_rows) filtered.push_back(&row);
-
-  // Aggregation path.
+  // The shared operator bodies; a LIMIT without ORDER BY stops the
+  // aggregate or projection early, and applies again after the sort.
+  const int64_t early_limit = frag.order_by.empty() ? frag.limit : -1;
   if (frag.has_aggregate) {
-    std::vector<Field> out_fields;
+    std::vector<Field> fields;
     for (const auto& g : frag.group_by) {
-      out_fields.emplace_back(g->ToString(), g->type);
+      fields.emplace_back(g->ToString(), g->type);
     }
     for (const auto& a : frag.aggregates) {
-      out_fields.emplace_back(a.display, a.result_type);
-    }
-    auto out_schema = std::make_shared<Schema>(std::move(out_fields));
-    const int64_t agg_limit = frag.order_by.empty() ? frag.limit : -1;
-    // Vectorized partial aggregation: pivot only the referenced
-    // columns and run the columnar kernel. A zero-row probe batch
-    // carries the column types for the cheap eligibility check; a
-    // value that does not fit its declared column type fails the
-    // conversion and drops to the row path.
-    const ColumnBatch probe(scan_schema);
-    std::vector<size_t> needed;
-    for (const auto& g : frag.group_by) g->CollectColumns(&needed);
-    for (const auto& a : frag.aggregates) {
-      if (a.arg) a.arg->CollectColumns(&needed);
-    }
-    if (CanVectorizeAggregate(frag.group_by, frag.aggregates, probe)) {
-      Result<ColumnBatch> cols =
-          ColumnBatch::FromRowPtrs(scan_schema, filtered, &needed);
-      if (cols.ok()) {
-        GISQL_ASSIGN_OR_RETURN(
-            RowBatch out,
-            HashAggregateColumnar(*cols, frag.group_by, frag.aggregates,
-                                  std::move(out_schema), agg_limit));
-        GISQL_RETURN_NOT_OK(SortAndLimit(&out, frag.order_by,
-                                         frag.order_ascending,
-                                         frag.limit));
-        return out;
-      }
+      fields.emplace_back(a.display, a.result_type);
     }
     GISQL_ASSIGN_OR_RETURN(
-        RowBatch out,
-        HashAggregate(filtered, frag.group_by, frag.aggregates,
-                      std::move(out_schema), agg_limit));
-    GISQL_RETURN_NOT_OK(SortAndLimit(&out, frag.order_by,
-                                     frag.order_ascending, frag.limit));
-    return out;
-  }
-
-  // Projection / pass-through path.
-  SchemaPtr out_schema;
-  if (!frag.projections.empty()) {
-    std::vector<Field> out_fields;
+        rows, AggregateRows(rows, nullptr, frag.group_by, frag.aggregates,
+                            std::make_shared<Schema>(std::move(fields)),
+                            early_limit));
+  } else if (!frag.projections.empty()) {
+    std::vector<Field> fields;
     for (size_t i = 0; i < frag.projections.size(); ++i) {
       const std::string name = i < frag.projection_names.size() &&
                                        !frag.projection_names[i].empty()
                                    ? frag.projection_names[i]
                                    : frag.projections[i]->ToString();
-      out_fields.emplace_back(name, frag.projections[i]->type);
+      fields.emplace_back(name, frag.projections[i]->type);
     }
-    out_schema = std::make_shared<Schema>(std::move(out_fields));
-  } else {
-    out_schema = scan_schema;
+    GISQL_ASSIGN_OR_RETURN(
+        rows, ProjectRows(frag.projections,
+                          std::make_shared<Schema>(std::move(fields)), rows,
+                          early_limit));
   }
-
-  RowBatch out(out_schema);
-  for (const Row* row : filtered) {
-    if (frag.order_by.empty() && frag.limit >= 0 &&
-        static_cast<int64_t>(out.num_rows()) >= frag.limit) {
-      break;
-    }
-    if (frag.projections.empty()) {
-      out.Append(*row);
-    } else {
-      Row projected;
-      projected.reserve(frag.projections.size());
-      for (const auto& p : frag.projections) {
-        GISQL_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, *row));
-        projected.push_back(std::move(v));
-      }
-      out.Append(std::move(projected));
-    }
-  }
-  GISQL_RETURN_NOT_OK(SortAndLimit(&out, frag.order_by,
-                                   frag.order_ascending, frag.limit));
-  return out;
+  GISQL_RETURN_NOT_OK(SortRows(frag.order_by, frag.order_ascending, &rows));
+  SliceRows(0, frag.limit, &rows);
+  return rows;
 }
 
 Status ComponentSource::PrepareTxn(const std::string& txn_id,
@@ -834,25 +699,22 @@ Status ComponentSource::LoadSnapshot(const std::string& path) {
   return Status::OK();
 }
 
-ComponentSource::FragmentPageStats ComponentSource::PageStatsSince(
-    const BufferPoolStats& before) const {
+Result<RowBatch> ComponentSource::ExecuteMetered(
+    const FragmentPlan& frag, double* processing_ms,
+    wire::FragmentPageStats* pages) {
+  const BufferPoolStats before = engine_.pool().Snapshot();
+  int64_t rows_scanned = 0;
+  GISQL_ASSIGN_OR_RETURN(RowBatch batch, ExecuteFragment(frag, &rows_scanned));
   const BufferPoolStats after = engine_.pool().Snapshot();
-  FragmentPageStats pages;
-  pages.page_hits = after.hits - before.hits;
-  pages.page_misses = after.misses - before.misses;
-  pages.evictions = after.evictions - before.evictions;
-  pages.disk_us = after.disk_us - before.disk_us;
-  return pages;
-}
-
-void ComponentSource::WritePageStatsTrailer(ByteWriter* writer,
-                                            const FragmentPageStats& pages) {
-  // Appended after the batch payload; old decoders that stop at the
-  // batch simply never look at it, new ones read it when bytes remain.
-  writer->PutVarint(static_cast<uint64_t>(pages.page_hits));
-  writer->PutVarint(static_cast<uint64_t>(pages.page_misses));
-  writer->PutVarint(static_cast<uint64_t>(pages.evictions));
-  writer->PutDouble(pages.disk_us);
+  pages->page_hits = after.hits - before.hits;
+  pages->page_misses = after.misses - before.misses;
+  pages->evictions = after.evictions - before.evictions;
+  pages->disk_us = after.disk_us - before.disk_us;
+  if (processing_ms != nullptr) {
+    *processing_ms = static_cast<double>(rows_scanned) * cpu_us_per_row_ / 1e3 +
+                     pages->disk_us / 1e3;
+  }
+  return batch;
 }
 
 Result<std::vector<uint8_t>> ComponentSource::Handle(
@@ -974,18 +836,10 @@ Result<std::vector<uint8_t>> ComponentSource::Handle(
 
     case wire::Opcode::kExecuteFragmentColumnar: {
       GISQL_ASSIGN_OR_RETURN(FragmentPlan frag, wire::ReadFragment(&reader));
-      const BufferPoolStats pool_before = engine_.pool().Snapshot();
-      int64_t rows_scanned = 0;
+      wire::FragmentPageStats pages;
       GISQL_ASSIGN_OR_RETURN(RowBatch batch,
-                             ExecuteFragment(frag, &rows_scanned));
-      const FragmentPageStats pages = PageStatsSince(pool_before);
-      if (processing_ms != nullptr) {
-        *processing_ms =
-            static_cast<double>(rows_scanned) * cpu_us_per_row_ / 1e3 +
-            pages.disk_us / 1e3;
-      }
-      wire::WriteResultBatch(&writer, batch);
-      WritePageStatsTrailer(&writer, pages);
+                             ExecuteMetered(frag, processing_ms, &pages));
+      wire::WriteFragmentResponse(&writer, batch, pages);
       return writer.Release();
     }
 
@@ -1005,17 +859,11 @@ Result<std::vector<uint8_t>> ComponentSource::Handle(
                                   " open cursors (limit ",
                                   kMaxOpenCursorsPerSource, ")");
       }
-      const BufferPoolStats pool_before = engine_.pool().Snapshot();
-      int64_t rows_scanned = 0;
-      GISQL_ASSIGN_OR_RETURN(RowBatch batch,
-                             ExecuteFragment(req.fragment, &rows_scanned));
       // The scan (CPU and disk) is paid here, at open; fetches only
       // slice and ship.
-      if (processing_ms != nullptr) {
-        *processing_ms =
-            static_cast<double>(rows_scanned) * cpu_us_per_row_ / 1e3 +
-            PageStatsSince(pool_before).disk_us / 1e3;
-      }
+      wire::FragmentPageStats pages;
+      GISQL_ASSIGN_OR_RETURN(
+          RowBatch batch, ExecuteMetered(req.fragment, processing_ms, &pages));
       const uint64_t id = next_cursor_id_++;
       SourceCursor& cur = cursors_[id];
       cur.token = req.token;

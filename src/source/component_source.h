@@ -25,7 +25,9 @@
 
 namespace gisql {
 
-class ByteWriter;
+namespace wire {
+struct FragmentPageStats;
+}  // namespace wire
 
 /// \brief A component information system participating in the GIS.
 class ComponentSource : public RpcHandler {
@@ -162,21 +164,12 @@ class ComponentSource : public RpcHandler {
   double cpu_us_per_row_;
   StorageEngine engine_;
 
-  /// \brief Per-fragment buffer-pool deltas (shipped to the mediator as
-  /// the response stats trailer on fragment execution).
-  struct FragmentPageStats {
-    int64_t page_hits = 0;
-    int64_t page_misses = 0;
-    int64_t evictions = 0;
-    double disk_us = 0.0;
-  };
-
-  /// \brief Buffer-pool counter deltas since `before` was snapshot.
-  FragmentPageStats PageStatsSince(const BufferPoolStats& before) const;
-
-  /// \brief Appends the page-stats trailer to a fragment response.
-  static void WritePageStatsTrailer(ByteWriter* writer,
-                                    const FragmentPageStats& pages);
+  /// \brief ExecuteFragment plus what it cost: the buffer-pool deltas
+  /// into `*pages`, and into `*processing_ms` (when non-null) the
+  /// simulated time of the rows touched and the disk reads.
+  Result<RowBatch> ExecuteMetered(const FragmentPlan& frag,
+                                  double* processing_ms,
+                                  wire::FragmentPageStats* pages);
 
   struct StagedWrite {
     TablePtr table;

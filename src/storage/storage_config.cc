@@ -6,12 +6,8 @@ namespace gisql {
 
 namespace {
 
-/// Sizes must be positive and latencies non-negative; anything else
-/// leaves the compiled-in default intact.
-void EnvSize(const char* name, size_t* out) {
-  if (const auto v = EnvValue<size_t>(name); v && *v > 0) *out = *v;
-}
-
+/// Latencies must be non-negative (sizes positive, see
+/// EnvOverridePositive); anything else leaves the default intact.
 void EnvMicros(const char* name, double* out) {
   if (const auto v = EnvValue<double>(name); v && *v >= 0) *out = *v;
 }
@@ -20,9 +16,9 @@ void EnvMicros(const char* name, double* out) {
 
 StorageConfig StorageConfig::FromEnv() {
   StorageConfig cfg;
-  EnvSize("GISQL_PAGE_SIZE", &cfg.page_size);
-  EnvSize("GISQL_BUFFER_POOL_FRAMES", &cfg.pool_frames);
-  EnvSize("GISQL_LRUK_K", &cfg.lruk_k);
+  EnvOverridePositive("GISQL_PAGE_SIZE", &cfg.page_size);
+  EnvOverridePositive("GISQL_BUFFER_POOL_FRAMES", &cfg.pool_frames);
+  EnvOverridePositive("GISQL_LRUK_K", &cfg.lruk_k);
   EnvMicros("GISQL_DISK_READ_US", &cfg.disk_read_us);
   EnvMicros("GISQL_DISK_WRITE_US", &cfg.disk_write_us);
   // Degenerate values would wedge the pool; clamp to workable minima.

@@ -23,8 +23,8 @@ enum class Opcode : uint8_t {
   kTxnPrepare = 7,       ///< payload: txn id + stmt seq + INSERT sql → empty
   kTxnCommit = 8,        ///< payload: txn id → empty (apply staged rows)
   kTxnAbort = 9,         ///< payload: txn id → empty (drop staged rows)
-  /// payload: FragmentPlan → wire::WriteResultBatch(result) + page-stats
-  /// trailer. The only opcode that executes a fragment.
+  /// payload: FragmentPlan → wire::WriteFragmentResponse (result batch
+  /// + page-stats trailer). The only opcode that executes a fragment.
   kExecuteFragmentColumnar = 10,
   /// \name Cursor-based streaming (wire/cursor.h carries the payloads)
   ///

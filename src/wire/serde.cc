@@ -339,6 +339,34 @@ Result<ResultBatch> ReadResultBatch(ByteReader* r) {
   return result;
 }
 
+void WriteFragmentResponse(ByteWriter* w, const RowBatch& rows,
+                           const FragmentPageStats& pages) {
+  WriteResultBatch(w, rows);
+  w->PutVarint(static_cast<uint64_t>(pages.page_hits));
+  w->PutVarint(static_cast<uint64_t>(pages.page_misses));
+  w->PutVarint(static_cast<uint64_t>(pages.evictions));
+  w->PutDouble(pages.disk_us);
+}
+
+Result<FragmentResponse> ReadFragmentResponse(
+    const std::vector<uint8_t>& payload) {
+  ByteReader r(payload);
+  FragmentResponse response;
+  GISQL_ASSIGN_OR_RETURN(response.batch, ReadResultBatch(&r));
+  GISQL_ASSIGN_OR_RETURN(uint64_t hits, r.GetVarint());
+  GISQL_ASSIGN_OR_RETURN(uint64_t misses, r.GetVarint());
+  GISQL_ASSIGN_OR_RETURN(uint64_t evictions, r.GetVarint());
+  GISQL_ASSIGN_OR_RETURN(response.pages.disk_us, r.GetDouble());
+  response.pages.page_hits = static_cast<int64_t>(hits);
+  response.pages.page_misses = static_cast<int64_t>(misses);
+  response.pages.evictions = static_cast<int64_t>(evictions);
+  if (!r.AtEnd()) {
+    return Status::SerializationError(
+        "trailing bytes after a fragment response");
+  }
+  return response;
+}
+
 void WriteExpr(ByteWriter* w, const Expr& e) {
   w->PutU8(static_cast<uint8_t>(e.kind));
   w->PutU8(static_cast<uint8_t>(e.type));

@@ -75,6 +75,35 @@ void WriteResultBatch(ByteWriter* w, const RowBatch& rows);
 Result<ResultBatch> ReadResultBatch(ByteReader* r);
 /// @}
 
+/// \name Fragment responses (result batch + page-stats trailer)
+///
+/// A source answers a fragment with its result batch followed by the
+/// buffer-pool work the execution cost. Both parts are required, and
+/// no byte may follow them.
+/// @{
+
+/// \brief Buffer-pool counter deltas of one fragment execution.
+struct FragmentPageStats {
+  int64_t page_hits = 0;
+  int64_t page_misses = 0;
+  int64_t evictions = 0;
+  double disk_us = 0.0;
+};
+
+/// \brief A decoded fragment response.
+struct FragmentResponse {
+  ResultBatch batch;
+  FragmentPageStats pages;
+};
+
+void WriteFragmentResponse(ByteWriter* w, const RowBatch& rows,
+                           const FragmentPageStats& pages);
+/// \brief Decodes a whole response payload; a missing trailer or a
+/// trailing byte is a SerializationError.
+Result<FragmentResponse> ReadFragmentResponse(
+    const std::vector<uint8_t>& payload);
+/// @}
+
 /// \name Bound expressions
 /// @{
 void WriteExpr(ByteWriter* w, const Expr& e);

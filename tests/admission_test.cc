@@ -661,6 +661,31 @@ TEST(PlannerOptionsEnvTest, NonPositiveMaxConcurrentKeepsDefault) {
   }
 }
 
+TEST(PlannerOptionsEnvTest, NonPositiveCursorAndTxnSizesKeepDefaults) {
+  const char* const kNames[] = {"GISQL_CURSOR_CHUNK_ROWS",
+                                "GISQL_CURSOR_MAX_OPEN",
+                                "GISQL_TXN_MAX_ACTIVE"};
+  for (const char* text : {"0", "-5"}) {
+    for (const char* name : kNames) setenv(name, text, 1);
+    const PlannerOptions o = PlannerOptions::FromEnv();
+    for (const char* name : kNames) unsetenv(name);
+    const PlannerOptions d;
+    EXPECT_EQ(o.cursor_chunk_rows, d.cursor_chunk_rows) << text;
+    EXPECT_EQ(o.cursor_max_open, d.cursor_max_open) << text;
+    EXPECT_EQ(o.txn_max_active, d.txn_max_active) << text;
+    // The run still opens and drains a cursor and begins a transaction.
+    GlobalSystem gis(o);
+    Build(&gis);
+    auto cursor = gis.OpenCursor("SELECT cid FROM clients");
+    ASSERT_TRUE(cursor.ok()) << text << ": " << cursor.status().ToString();
+    auto chunk = gis.FetchChunk(*cursor);
+    ASSERT_TRUE(chunk.ok()) << text << ": " << chunk.status().ToString();
+    EXPECT_EQ(chunk->batch.num_rows(), 8u) << text;
+    auto txn = gis.BeginTransaction();
+    EXPECT_TRUE(txn.ok()) << text << ": " << txn.status().ToString();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Schedule independence
 // ---------------------------------------------------------------------------

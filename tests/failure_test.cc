@@ -156,7 +156,7 @@ class WrongArityHandler : public RpcHandler {
     RowBatch batch(schema);
     batch.Append({Value::Int(1), Value::Int(2)});
     ByteWriter w;
-    wire::WriteResultBatch(&w, batch);
+    wire::WriteFragmentResponse(&w, batch, {});
     return w.Release();
   }
 };

@@ -249,6 +249,23 @@ TEST(SloEngineTest, AlertingClearsWhenTheBreachAgesOutUnderOtherTraffic) {
   EXPECT_DOUBLE_EQ(interactive.last_alert_ms, 10.0);
 }
 
+TEST(SloEngineTest, BreachAfterAnAgedOutAlertRaisesAgain) {
+  SloEngine slo;
+  slo.Configure(
+      {.fast_window_ms = 100.0, .slow_window_ms = 1000.0, .burn_alert = 2.0});
+  ASSERT_EQ(slo.Record(2, 10.0, 400.0, false).size(), 1u);
+  for (int i = 1; i <= 30; ++i) slo.Record(1, 10.0 + i * 50.0, 1.0, false);
+  ASSERT_FALSE(slo.Snapshot()[0].alerting);
+  // The first breach aged out under normal traffic, so the next bad
+  // interactive event is a new rising edge.
+  const auto raised = slo.Record(2, 2000.0, 400.0, false);
+  ASSERT_EQ(raised.size(), 1u);
+  EXPECT_EQ(raised[0].objective, "interactive");
+  EXPECT_DOUBLE_EQ(raised[0].at_ms, 2000.0);
+  EXPECT_EQ(slo.Snapshot()[0].alerts, 2);
+  EXPECT_EQ(slo.Alerts().size(), 2u);
+}
+
 TEST(SloEngineTest, PrioritiesMapToDistinctObjectives) {
   SloEngine slo;
   // Background target is 1000 ms: a 400 ms sojourn is good there but

@@ -247,6 +247,54 @@ TEST(FragmentSerdeTest, MinimalFragment) {
   EXPECT_EQ(back->semijoin_column, -1);
 }
 
+/// A two-row result and its page stats, encoded as a source sends them.
+std::vector<uint8_t> FragmentResponseBytes() {
+  auto schema = std::make_shared<Schema>(
+      std::vector<Field>{{"a", TypeId::kInt64}, {"b", TypeId::kString}});
+  RowBatch batch(schema);
+  batch.Append({Value::Int(1), Value::String("x")});
+  batch.Append({Value::Null(TypeId::kInt64), Value::String("y")});
+  ByteWriter w;
+  wire::WriteFragmentResponse(&w, batch, {.page_hits = 3,
+                                          .page_misses = 2,
+                                          .evictions = 1,
+                                          .disk_us = 250.5});
+  return w.Release();
+}
+
+TEST(FragmentResponseTest, RoundTripCarriesPageStats) {
+  auto back = wire::ReadFragmentResponse(FragmentResponseBytes());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back->batch.rows.num_rows(), 2u);
+  EXPECT_NE(back->batch.columnar, nullptr);
+  EXPECT_EQ(back->batch.rows.rows()[1][1].AsString(), "y");
+  EXPECT_EQ(back->pages.page_hits, 3);
+  EXPECT_EQ(back->pages.page_misses, 2);
+  EXPECT_EQ(back->pages.evictions, 1);
+  EXPECT_DOUBLE_EQ(back->pages.disk_us, 250.5);
+}
+
+TEST(FragmentResponseTest, MissingTrailerRejected) {
+  std::vector<uint8_t> bytes = FragmentResponseBytes();
+  // The trailer is three one-byte varints and an 8-byte double; drop
+  // all of it, then only its last byte.
+  for (size_t cut : {size_t{11}, size_t{1}}) {
+    const std::vector<uint8_t> truncated(bytes.begin(), bytes.end() - cut);
+    auto back = wire::ReadFragmentResponse(truncated);
+    ASSERT_FALSE(back.ok()) << cut;
+    EXPECT_TRUE(back.status().IsSerializationError()) << cut;
+  }
+}
+
+TEST(FragmentResponseTest, ExtraByteRejected) {
+  std::vector<uint8_t> bytes = FragmentResponseBytes();
+  bytes.push_back(0);
+  auto back = wire::ReadFragmentResponse(bytes);
+  ASSERT_FALSE(back.ok());
+  EXPECT_TRUE(back.status().IsSerializationError())
+      << back.status().ToString();
+}
+
 TEST(ProtocolTest, ResponseFramingOk) {
   std::vector<uint8_t> payload = {1, 2, 3, 4};
   auto frame = wire::EncodeResponse(Status::OK(), payload);
