@@ -56,4 +56,11 @@ void EnvOverridePositive(const char* name, T* out) {
   if (const std::optional<T> v = EnvValue<T>(name); v && *v > 0) *out = *v;
 }
 
+/// \brief EnvOverride for a duration or a latency: a negative value
+/// keeps `*out` too (0 is a real setting).
+template <typename T>
+void EnvOverrideNonNegative(const char* name, T* out) {
+  if (const std::optional<T> v = EnvValue<T>(name); v && *v >= 0) *out = *v;
+}
+
 }  // namespace gisql

@@ -16,14 +16,15 @@ const char* CursorManager::StateName(State s) {
   return "unknown";
 }
 
-CursorManager::Entry& CursorManager::Create(std::string sql, bool streaming,
+CursorManager::Entry& CursorManager::Create(QueryLogEntry record,
+                                            bool streaming,
                                             int64_t chunk_rows,
                                             double opened_ms,
                                             double lease_ms) {
   const uint64_t id = next_id_++;
   Entry& e = entries_[id];
   e.id = id;
-  e.sql = std::move(sql);
+  e.record = std::move(record);
   e.streaming = streaming;
   e.chunk_rows = chunk_rows;
   e.opened_ms = opened_ms;

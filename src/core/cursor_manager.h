@@ -41,27 +41,24 @@ class CursorManager {
 
   struct Entry {
     uint64_t id = 0;
-    std::string sql;
     State state = State::kOpen;
     /// True: incremental pull pipeline. False: blocking plan drained
     /// into a spool at open.
     bool streaming = false;
     int64_t chunk_rows = 0;
     int64_t chunks = 0;  ///< chunks served so far
-    int64_t rows = 0;    ///< rows served so far
     double opened_ms = 0.0;
     /// Lease duration; each fetch renews the deadline by this much.
     double lease_ms = 0.0;
     double lease_deadline_ms = 0.0;
-    /// What the cursor consumed so far (open + fetches + close). Each
-    /// operation is metered on its own — cursor lifetimes interleave
-    /// with other queries — and added here; mem_bytes is the peak
-    /// booked grant (streaming re-grants per chunk, so end-of-life
-    /// used() would understate).
-    Usage usage;
-    /// Attribution carried from OpenCursor to the finalize-time
-    /// query-log entry and tenant charge.
-    QueryContext qctx;
+    /// The cursor's query-log record in progress: its SQL and
+    /// attribution from OpenCursor, the rows served so far, and what
+    /// it consumed so far (open + fetches + close). Each operation is
+    /// metered on its own — cursor lifetimes interleave with other
+    /// queries — and added here; mem_bytes is the peak booked grant
+    /// (streaming re-grants per chunk, so end-of-life used() would
+    /// understate). FinalizeCursor records it.
+    QueryLogEntry record;
 
     std::unique_ptr<RowStream> stream;
     /// Keeps the plan nodes the stream references alive.
@@ -78,7 +75,7 @@ class CursorManager {
   /// \brief Registers a new open cursor and returns it. The reference
   /// stays valid until Finalize() retires enough finished entries —
   /// i.e. for the duration of the current cursor call.
-  Entry& Create(std::string sql, bool streaming, int64_t chunk_rows,
+  Entry& Create(QueryLogEntry record, bool streaming, int64_t chunk_rows,
                 double opened_ms, double lease_ms);
 
   /// \brief The entry for `id` (any state), or null.

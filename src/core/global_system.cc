@@ -526,29 +526,6 @@ class UsageMeter {
   const Counters start_;
 };
 
-/// Adds a later operation of the same statement (a cursor fetch or
-/// close) to its running usage; memory keeps the peak.
-void Accumulate(Usage& total, const Usage& op) {
-  total.elapsed_ms += op.elapsed_ms;
-  total.bytes_sent += op.bytes_sent;
-  total.bytes_received += op.bytes_received;
-  total.messages += op.messages;
-  total.retries += op.retries;
-  total.page_hits += op.page_hits;
-  total.page_misses += op.page_misses;
-  total.disk_ms += op.disk_ms;
-  total.mem_bytes = std::max(total.mem_bytes, op.mem_bytes);
-}
-
-/// Copies the caller-facing slice of a usage record into `m`.
-void FillMetrics(QueryMetrics& m, const Usage& u) {
-  m.elapsed_ms = u.elapsed_ms;
-  m.bytes_sent = u.bytes_sent;
-  m.bytes_received = u.bytes_received;
-  m.messages = u.messages;
-  m.retries = u.retries;
-}
-
 /// EXPLAIN's one-row, one-column answer.
 QueryResult PlanTextResult(std::string text) {
   QueryResult result;
@@ -573,67 +550,24 @@ Result<std::vector<uint8_t>> GlobalSystem::RetriedCall(
   return std::move(r.payload);
 }
 
-void GlobalSystem::RecordQueryOutcome(const std::string& sql,
-                                      const QueryContext& qctx,
-                                      const Usage& usage,
-                                      const Outcome& outcome) {
-  QueryLogEntry entry;
-  entry.sql = sql;
-  entry.elapsed_ms = usage.elapsed_ms;
-  entry.bytes_sent = usage.bytes_sent;
-  entry.bytes_received = usage.bytes_received;
-  entry.messages = usage.messages;
-  entry.retries = usage.retries;
-  entry.cache_hit = outcome.cache_hit;
-  entry.rows = outcome.rows;
-  entry.trace_root = static_cast<int64_t>(outcome.trace_root);
-  entry.admission_wait_ms = qctx.admission_wait_ms;
-  entry.shed_reason = outcome.shed_reason;
-  entry.tenant = qctx.tenant;
-  entry.priority = qctx.priority;
-  entry.finish_ms = outcome.finish_ms;
+void GlobalSystem::RecordQueryOutcome(QueryLogEntry entry) {
   // Template fingerprint: literals/whitespace normalized away, so the
   // advisor (and gis.queries readers) can group recurring shapes.
-  entry.fingerprint = sql::FingerprintHex(sql);
-  const bool shed = !entry.shed_reason.empty();
-
-  TenantCharge charge;
-  charge.shed = shed;
-  charge.cache_hit = entry.cache_hit;
-  charge.rows = entry.rows;
-  charge.elapsed_ms = entry.elapsed_ms;
-  charge.admission_wait_ms = entry.admission_wait_ms;
-  charge.bytes_sent = entry.bytes_sent;
-  charge.bytes_received = entry.bytes_received;
-  charge.messages = entry.messages;
-  charge.retries = entry.retries;
-  charge.mem_bytes = usage.mem_bytes;
-  charge.page_hits = usage.page_hits;
-  charge.page_misses = usage.page_misses;
-  charge.disk_ms = usage.disk_ms;
-  tenants_.Record(qctx.tenant, charge);
-
-  QueryFrame frame;
-  frame.tenant = qctx.tenant;
-  frame.priority = qctx.priority;
-  frame.finish_ms = entry.finish_ms;
-  frame.sojourn_ms = entry.admission_wait_ms + entry.elapsed_ms;
-  frame.rows = entry.rows;
-  frame.bytes = entry.bytes_sent + entry.bytes_received;
-  frame.cache_hit = entry.cache_hit;
-  frame.shed_reason = entry.shed_reason;
-  frame.sql = entry.sql;
+  entry.fingerprint = sql::FingerprintHex(entry.sql);
+  tenants_.Record(entry);
+  const int priority = entry.priority;
   const double finish_ms = entry.finish_ms;
-  const double sojourn_ms = frame.sojourn_ms;
+  const double sojourn_ms = entry.sojourn_ms();
+  const bool shed = entry.shed();
 
   // Append before feeding the triggers so an incident fired by this
   // very statement already sees it in gis.queries and the frame ring.
-  query_log_.Append(std::move(entry));
-  frame.query_id = query_log_.total_appended();
-  flight_.RecordFrame(frame);
+  QueryLogEntry frame = entry;
+  frame.id = query_log_.Append(std::move(entry));
+  flight_.RecordFrame(std::move(frame));
 
   for (const SloAlert& alert :
-       slo_.Record(qctx.priority, finish_ms, sojourn_ms, shed)) {
+       slo_.Record(priority, finish_ms, sojourn_ms, shed)) {
     flight_.OnSloAlert(alert.objective, alert.at_ms, alert.fast_burn,
                        alert.slow_burn);
   }
@@ -641,9 +575,9 @@ void GlobalSystem::RecordQueryOutcome(const std::string& sql,
   // Breaker-open trigger: polled per statement (deterministic — RPC
   // completion order within a statement is sequenced) rather than via
   // callbacks from network threads.
-  const GovernorSnapshot g = governor_.Snapshot();
-  if (g.breaker_transitions > seen_breaker_transitions_) {
-    seen_breaker_transitions_ = g.breaker_transitions;
+  const int64_t transitions = governor_.breakers().TotalTransitions();
+  if (transitions > seen_breaker_transitions_) {
+    seen_breaker_transitions_ = transitions;
     std::vector<std::string> open;
     for (const auto& b : governor_.breakers().Snapshot()) {
       if (b.state == BreakerState::kOpen) open.push_back(b.source);
@@ -658,6 +592,14 @@ void GlobalSystem::RecordQueryOutcome(const std::string& sql,
       flight_.OnBreakerOpen(detail, finish_ms);
     }
   }
+}
+
+void GlobalSystem::RecordShed(const std::string& sql, const QueryContext& qctx,
+                              double at_ms, const char* reason) {
+  QueryLogEntry entry(qctx, Usage(), sql);
+  entry.finish_ms = at_ms;
+  entry.shed_reason = reason;
+  RecordQueryOutcome(std::move(entry));
 }
 
 QueryContext GlobalSystem::Arrive(const SubmitOptions& submit) const {
@@ -689,9 +631,8 @@ Result<GlobalSystem::Admission> GlobalSystem::Admit(
     // Shed queries still land in gis.queries (with their reason and
     // zero traffic) so operators can see *what* was refused — and in
     // the tenant ledger, so noisy neighbors show up in their sheds.
-    RecordQueryOutcome(sql, adm.qctx, Usage(),
-                       {.finish_ms = adm.qctx.arrival_ms,  // refused
-                        .shed_reason = ShedReasonName(decision.reason)});
+    RecordShed(sql, adm.qctx, adm.qctx.arrival_ms,
+               ShedReasonName(decision.reason));
     if (decision.reason == ShedReason::kDeadline) {
       return Status::Overloaded(
           "query shed: the admission queue would hold it for ",
@@ -724,10 +665,8 @@ Status GlobalSystem::Release(const std::string& sql, const Admission& adm,
     // outcome is not). It aborted mid-execution: zero width.
     governor_.RecordMemoryShed();
     metrics_.Add("admission.shed", 1);
-    RecordQueryOutcome(
-        sql, adm.qctx, Usage(),
-        {.finish_ms = adm.qctx.start_ms,
-         .shed_reason = ShedReasonName(ShedReason::kMemoryBudget)});
+    RecordShed(sql, adm.qctx, adm.qctx.start_ms,
+               ShedReasonName(ShedReason::kMemoryBudget));
   }
   return st;
 }
@@ -739,9 +678,6 @@ Result<QueryResult> GlobalSystem::Submit(const std::string& sql,
   Result<QueryResult> result = RunStatement(sql, &grant, adm.qctx);
   Release(sql, adm, result.status(),
           result.ok() ? result->metrics.elapsed_ms : 0.0);
-  if (result.ok()) {
-    result->metrics.admission_wait_ms = adm.qctx.admission_wait_ms;
-  }
   // The advisor rides the statement clock: by this point the governor
   // has advanced past this statement's completion, so tick times — and
   // therefore decisions — replay identically for the same seed.
@@ -792,6 +728,8 @@ Result<QueryResult> GlobalSystem::RunStatement(const std::string& sql,
   // Result cache: the decomposed plan's canonical text identifies the
   // computation (fragments, strategies, planner options all shape it).
   const std::string cache_key = use_cache ? plan->Explain() : std::string();
+  QueryLogEntry entry(qctx, Usage(), sql);
+  entry.trace_root = root;
   if (use_cache) {
     const uint64_t lookup =
         tr != nullptr ? tr->Begin("cache.lookup", "lifecycle", root, 0.0) : 0;
@@ -804,9 +742,8 @@ Result<QueryResult> GlobalSystem::RunStatement(const std::string& sql,
       result.batch = std::move(cached->batch);
       result.metrics.cache_hit = true;
       result.metrics.plan_text = cache_key + "(cache hit)\n";
-      const auto rows = static_cast<int64_t>(result.batch.num_rows());
-      return CompleteStatement(sql, qctx, root, Usage(), rows,
-                               std::move(result));
+      entry.rows = static_cast<int64_t>(result.batch.num_rows());
+      return CompleteStatement(std::move(entry), std::move(result));
     }
   }
 
@@ -823,23 +760,22 @@ Result<QueryResult> GlobalSystem::RunStatement(const std::string& sql,
   }
   Executor executor(ctx);
   GISQL_ASSIGN_OR_RETURN(ExecOutput out, executor.Execute(plan));
-  Usage usage = meter.Delta();
-  usage.elapsed_ms = out.elapsed_ms;
-  usage.mem_bytes = grant != nullptr ? grant->used() : 0;
+  static_cast<Usage&>(entry) = meter.Delta();
+  entry.elapsed_ms = out.elapsed_ms;
+  entry.mem_bytes = grant != nullptr ? grant->used() : 0;
   if (tr != nullptr) tr->End(exec_span, out.elapsed_ms);
-  const auto rows = static_cast<int64_t>(out.batch.num_rows());
+  entry.rows = static_cast<int64_t>(out.batch.num_rows());
 
   if (analyze) {
-    return CompleteStatement(
-        sql, qctx, root, usage, rows,
-        PlanTextResult(
-            plan->Explain() + "Total: " + std::to_string(rows) +
-            " row(s) in " + std::to_string(out.elapsed_ms) +
-            " simulated ms\nNetwork: " + std::to_string(usage.bytes_sent) +
-            " bytes sent, " + std::to_string(usage.bytes_received) +
-            " bytes received, " + std::to_string(usage.messages) +
-            " message(s), " + std::to_string(usage.retries) +
-            " retrie(s)\n"));
+    std::string text =
+        plan->Explain() + "Total: " + std::to_string(entry.rows) +
+        " row(s) in " + std::to_string(out.elapsed_ms) +
+        " simulated ms\nNetwork: " + std::to_string(entry.bytes_sent) +
+        " bytes sent, " + std::to_string(entry.bytes_received) +
+        " bytes received, " + std::to_string(entry.messages) +
+        " message(s), " + std::to_string(entry.retries) + " retrie(s)\n";
+    return CompleteStatement(std::move(entry),
+                             PlanTextResult(std::move(text)));
   }
   QueryResult result;
   result.batch = std::move(out.batch);
@@ -865,29 +801,26 @@ Result<QueryResult> GlobalSystem::RunStatement(const std::string& sql,
     cache_->Insert(cache_key, result.batch, out.elapsed_ms,
                    std::move(sources), std::move(tables));
   }
-  return CompleteStatement(sql, qctx, root, usage, rows, std::move(result));
+  return CompleteStatement(std::move(entry), std::move(result));
 }
 
-QueryResult GlobalSystem::CompleteStatement(const std::string& sql,
-                                            const QueryContext& qctx,
-                                            uint64_t root, const Usage& usage,
-                                            int64_t rows, QueryResult result) {
+QueryResult GlobalSystem::CompleteStatement(QueryLogEntry entry,
+                                            QueryResult result) {
   metrics_.Add("query.count", 1);
-  metrics_.Observe("query.ms", usage.elapsed_ms);
-  metrics_.Observe("query.bytes", static_cast<double>(usage.bytes_received));
+  metrics_.Observe("query.ms", entry.elapsed_ms);
+  metrics_.Observe("query.bytes", static_cast<double>(entry.bytes_received));
   if (trace_ != nullptr) {
-    trace_->SetRows(root, rows);
-    trace_->End(root, usage.elapsed_ms);
+    trace_->SetRows(entry.trace_root, entry.rows);
+    trace_->End(entry.trace_root, entry.elapsed_ms);
   }
+  entry.finish_ms = entry.start_ms + entry.elapsed_ms;
+  entry.cache_hit = result.metrics.cache_hit;
+  static_cast<Usage&>(result.metrics) = entry;
+  result.metrics.admission_wait_ms = entry.admission_wait_ms;
   // The entry is appended only after execution, so a gis.queries scan
   // never observes the query currently running it (deterministic
   // snapshots regardless of when mid-plan operators fire).
-  RecordQueryOutcome(sql, qctx, usage,
-                     {.rows = rows,
-                      .finish_ms = qctx.start_ms + usage.elapsed_ms,
-                      .cache_hit = result.metrics.cache_hit,
-                      .trace_root = root});
-  FillMetrics(result.metrics, usage);
+  RecordQueryOutcome(std::move(entry));
   return result;
 }
 
@@ -910,9 +843,7 @@ Result<uint64_t> GlobalSystem::OpenCursor(const std::string& sql,
       static_cast<size_t>(options_.cursor_max_open)) {
     metrics_.Add("cursor.shed", 1);
     const QueryContext qctx = Arrive(opts.submit);
-    RecordQueryOutcome(
-        sql, qctx, Usage(),
-        {.finish_ms = qctx.arrival_ms, .shed_reason = "cursor_limit"});
+    RecordShed(sql, qctx, qctx.arrival_ms, "cursor_limit");
     return Status::Overloaded("cursor shed: ", cursors_.OpenCount(),
                               " cursors already open (limit ",
                               options_.cursor_max_open, ")");
@@ -965,10 +896,16 @@ Result<uint64_t> GlobalSystem::OpenCursor(const std::string& sql,
   }
   Release(sql, adm, Status::OK(), open_elapsed);
 
+  // Usage and attribution accumulate in the cursor's record until
+  // FinalizeCursor writes the one gis.queries entry covering its life.
+  Usage opened = meter.Delta();
+  opened.elapsed_ms = open_elapsed;
+  opened.mem_bytes = grant.used();
   const double opened_at =
       adm.governed ? adm.qctx.start_ms + open_elapsed : governor_.now_ms();
   CursorManager::Entry& e =
-      cursors_.Create(sql, streaming, chunk_rows, opened_at, lease_ms);
+      cursors_.Create(QueryLogEntry(adm.qctx, opened, sql), streaming,
+                      chunk_rows, opened_at, lease_ms);
   e.stream = std::move(stream);
   e.plan = std::move(plan);
   e.grant = std::move(grant);
@@ -977,12 +914,6 @@ Result<uint64_t> GlobalSystem::OpenCursor(const std::string& sql,
   // reference survive until the cursor finalizes (drain, close, or
   // lease expiry alike).
   e.snapshot_pin = txns_.PinSnapshot();
-  // Usage and attribution accumulate until FinalizeCursor writes the
-  // one gis.queries entry covering the cursor's whole life.
-  e.usage = meter.Delta();
-  e.usage.elapsed_ms = open_elapsed;
-  e.usage.mem_bytes = e.grant.used();
-  e.qctx = adm.qctx;
   metrics_.Add("cursor.opened", 1);
   advisor_->Tick(governor_.now_ms());
   return e.id;
@@ -1031,7 +962,7 @@ Result<GlobalSystem::CursorChunkResult> GlobalSystem::FetchChunk(
         EstimateRowBytes(static_cast<int64_t>(chunk.rows.num_rows()), width),
         "a cursor chunk");
     e->grant = std::move(next);
-    e->usage.mem_bytes = std::max(e->usage.mem_bytes, e->grant.used());
+    e->record.mem_bytes = std::max(e->record.mem_bytes, e->grant.used());
     if (!charged.ok()) {
       governor_.RecordMemoryShed();
       metrics_.Add("admission.shed", 1);
@@ -1044,8 +975,8 @@ Result<GlobalSystem::CursorChunkResult> GlobalSystem::FetchChunk(
   Usage fetched = meter.Delta();
   fetched.elapsed_ms = chunk.elapsed_ms;
   e->chunks += 1;
-  e->rows += static_cast<int64_t>(chunk.rows.num_rows());
-  Accumulate(e->usage, fetched);
+  e->record.rows += static_cast<int64_t>(chunk.rows.num_rows());
+  e->record += fetched;
 
   governor_.AdvanceTo(now + chunk.elapsed_ms);
   // Each successful fetch renews the lease from the advanced clock.
@@ -1056,7 +987,7 @@ Result<GlobalSystem::CursorChunkResult> GlobalSystem::FetchChunk(
   res.batch = std::move(chunk.rows);
   res.done = chunk.done;
   res.seq = static_cast<uint64_t>(e->chunks - 1);
-  FillMetrics(res.metrics, fetched);
+  static_cast<Usage&>(res.metrics) = fetched;
   if (chunk.done) FinalizeCursor(*e, CursorManager::State::kDrained);
   return res;
 }
@@ -1091,23 +1022,22 @@ void GlobalSystem::FinalizeCursor(CursorManager::Entry& entry,
     const double close_ms = entry.stream->Close();
     Usage closed = meter.Delta();
     closed.elapsed_ms = close_ms;
-    Accumulate(entry.usage, closed);
+    entry.record += closed;
     governor_.AdvanceTo(governor_.now_ms() + close_ms);
   }
   // One gis.queries entry per cursor, written at end of life so it
   // carries the cursor's whole story (rows served, total traffic). It
   // finishes on the advanced clock (the close above already moved it);
   // drained/closed/expired all finish "now".
-  RecordQueryOutcome(entry.sql, entry.qctx, entry.usage,
-                     {.rows = entry.rows,
-                      .finish_ms = governor_.now_ms(),
-                      .shed_reason = shed_reason});
+  entry.record.finish_ms = governor_.now_ms();
+  entry.record.shed_reason = shed_reason;
+  RecordQueryOutcome(entry.record);
   // cursor.drained / cursor.closed / cursor.expired.
   metrics_.Add(std::string("cursor.") + CursorManager::StateName(state), 1);
   metrics_.Add("query.count", 1);
-  metrics_.Observe("query.ms", entry.usage.elapsed_ms);
+  metrics_.Observe("query.ms", entry.record.elapsed_ms);
   metrics_.Observe("query.bytes",
-                   static_cast<double>(entry.usage.bytes_received));
+                   static_cast<double>(entry.record.bytes_received));
   // The snapshot pin releases together with the grant below — an
   // expired lease frees its spool memory and its version-chain hold
   // on the GC watermark in the same step.

@@ -49,16 +49,11 @@
 
 namespace gisql {
 
-/// \brief Per-query accounting (all values from the simulation, fully
-/// deterministic).
-struct QueryMetrics {
-  double elapsed_ms = 0.0;      ///< simulated end-to-end latency
-  int64_t bytes_sent = 0;       ///< mediator → sources
-  int64_t bytes_received = 0;   ///< sources → mediator
-  int64_t messages = 0;         ///< RPCs issued
-  int64_t retries = 0;          ///< backoff retries spent on this query
+/// \brief Per-query accounting: the statement's Usage (all values from
+/// the simulation, fully deterministic) plus how it was served.
+struct QueryMetrics : Usage {
   /// Served from the mediator result cache: no network traffic at all
-  /// (the zeros above are real zeros, not unknowns).
+  /// (the zero usage is real zeros, not unknowns).
   bool cache_hit = false;
   /// Simulated time spent in the admission queue before a slot freed
   /// (0 under closed-loop traffic or with admission control off).
@@ -508,29 +503,19 @@ class GlobalSystem : public AdvisorHost {
                                    uint64_t txn_id = 0);
 
   /// \brief Accounts one executed statement (a cache hit included):
-  /// counts it, closes its trace root, records its outcome, and fills
-  /// `result`'s metrics from `usage`.
-  QueryResult CompleteStatement(const std::string& sql,
-                                const QueryContext& qctx, uint64_t root,
-                                const Usage& usage, int64_t rows,
-                                QueryResult result);
-
-  /// \brief How a statement ended, besides what it consumed.
-  struct Outcome {
-    int64_t rows = 0;
-    double finish_ms = 0.0;   ///< simulated completion (or refusal) time
-    const char* shed_reason = "";  ///< "" when the statement ran
-    bool cache_hit = false;
-    uint64_t trace_root = 0;
-  };
+  /// counts it, closes its trace root, records `entry` (its context,
+  /// usage, rows and trace root), and fills `result`'s metrics from it.
+  QueryResult CompleteStatement(QueryLogEntry entry, QueryResult result);
 
   /// \brief The single funnel pairing every query-log append with its
   /// attribution charge, SLO event, and flight-recorder frame, so the
-  /// four views can never drift apart. It builds the one QueryLogEntry
-  /// per statement from `usage` (traffic, pages, memory), `qctx`
-  /// (tenant, priority, admission wait), and `outcome`.
-  void RecordQueryOutcome(const std::string& sql, const QueryContext& qctx,
-                          const Usage& usage, const Outcome& outcome);
+  /// four views can never drift apart: each reads the same `entry`.
+  void RecordQueryOutcome(QueryLogEntry entry);
+
+  /// \brief Records a statement refused at `at_ms` for `reason`: zero
+  /// usage, nothing executed.
+  void RecordShed(const std::string& sql, const QueryContext& qctx,
+                  double at_ms, const char* reason);
 
   /// \brief Mediator→source control-plane call under the system retry
   /// policy; the response payload on success.

@@ -11,15 +11,16 @@ size_t QueryLog::CapacityFromEnv() {
   return static_cast<size_t>(*parsed);
 }
 
-void QueryLog::Append(QueryLogEntry entry) {
+int64_t QueryLog::Append(QueryLogEntry entry) {
   std::lock_guard<std::mutex> lock(mu_);
-  entry.id = next_id_++;
+  const int64_t id = entry.id = next_id_++;
   if (ring_.size() < capacity_) {
     ring_.push_back(std::move(entry));
-    return;
+  } else {
+    ring_[head_] = std::move(entry);
+    head_ = (head_ + 1) % capacity_;
   }
-  ring_[head_] = std::move(entry);
-  head_ = (head_ + 1) % capacity_;
+  return id;
 }
 
 std::vector<QueryLogEntry> QueryLog::Snapshot() const {

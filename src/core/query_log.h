@@ -2,12 +2,14 @@
 /// \brief Bounded ring buffer of recently executed queries, backing the
 /// `gis.queries` system table.
 ///
-/// GlobalSystem::Query appends one entry per *executed* statement
-/// (SELECT and EXPLAIN ANALYZE, including cache hits; plain EXPLAIN
-/// never executes and is not logged). The buffer keeps the most recent
-/// `capacity` entries; ids are monotonically increasing across the
-/// system's lifetime, so `SELECT MAX(id) FROM gis.queries` counts total
-/// executed queries even after eviction.
+/// GlobalSystem::RecordQueryOutcome appends one QueryLogEntry
+/// (obs/query_context.h) per recorded statement: SELECT and EXPLAIN
+/// ANALYZE including cache hits, sheds, and each cursor at the end of
+/// its life (plain EXPLAIN never executes and is not logged). The
+/// buffer keeps the most recent `capacity` entries; ids are
+/// monotonically increasing across the system's lifetime, so
+/// `SELECT MAX(id) FROM gis.queries` counts total recorded statements
+/// even after eviction.
 
 #pragma once
 
@@ -16,39 +18,9 @@
 #include <string>
 #include <vector>
 
-namespace gisql {
+#include "obs/query_context.h"
 
-/// \brief One logged query: the statement plus its accounting (all from
-/// the simulation, fully deterministic).
-struct QueryLogEntry {
-  int64_t id = 0;               ///< 1-based, monotonically increasing
-  std::string sql;              ///< statement text as submitted
-  double elapsed_ms = 0.0;      ///< simulated end-to-end latency
-  int64_t bytes_sent = 0;
-  int64_t bytes_received = 0;
-  int64_t messages = 0;
-  int64_t retries = 0;
-  bool cache_hit = false;
-  int64_t rows = 0;             ///< result rows returned
-  int64_t trace_root = 0;       ///< root span id (0 when tracing is off)
-  double admission_wait_ms = 0.0;  ///< simulated time spent queued
-  /// Why the governor refused this query ("" = it ran). Shed entries
-  /// carry zero traffic — nothing was executed.
-  std::string shed_reason;
-  /// Accountable principal the statement is charged to (never empty;
-  /// unnamed callers land on the "default" tenant).
-  std::string tenant = "default";
-  int priority = 1;        ///< 0 background, 1 normal, 2 interactive
-  /// Simulated completion instant (arrival + wait + elapsed). Shed
-  /// entries finish at their refusal time.
-  double finish_ms = 0.0;
-  /// Literal-stripped template hash (sql/fingerprint.h), stamped once
-  /// at the RecordQueryOutcome funnel. Two entries share a fingerprint
-  /// iff they are the same statement template with different literals
-  /// — the key for hot-template detection in the advisor and in user
-  /// queries over gis.queries.
-  std::string fingerprint;
-};
+namespace gisql {
 
 /// \brief Thread-safe fixed-capacity ring of QueryLogEntry.
 class QueryLog {
@@ -65,9 +37,9 @@ class QueryLog {
   /// retain a full SLO slow window of queries.
   static size_t CapacityFromEnv();
 
-  /// \brief Appends one entry, assigning its id; evicts the oldest
-  /// entry once the ring is full.
-  void Append(QueryLogEntry entry);
+  /// \brief Appends one entry, assigning and returning its id; evicts
+  /// the oldest entry once the ring is full.
+  int64_t Append(QueryLogEntry entry);
 
   /// \brief Retained entries, oldest first.
   std::vector<QueryLogEntry> Snapshot() const;

@@ -203,13 +203,13 @@ struct Catalogue {
 
   using E = CursorManager::Entry;
   Columns<E> cursors = {
-      Col("id", &E::id), Col("sql", &E::sql),
+      Col("id", &E::id), Col("sql", &E::record, &Q::sql),
       Col("state", &E::state, CursorManager::StateName),
       Col("streaming", &E::streaming), Col("chunk_rows", &E::chunk_rows),
-      Col("chunks", &E::chunks), Col("rows", &E::rows),
+      Col("chunks", &E::chunks), Col("rows", &E::record, &Q::rows),
       Col("opened_ms", &E::opened_ms),
       Col("lease_deadline_ms", &E::lease_deadline_ms),
-      Col("elapsed_ms", &E::usage, &Usage::elapsed_ms),
+      Col("elapsed_ms", &E::record, &Q::elapsed_ms),
       Column<E>("mem_bytes", TypeId::kInt64,
                 [](const E& e) { return Value::Int(e.grant.used()); })};
 

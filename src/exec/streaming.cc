@@ -44,7 +44,7 @@ class FragmentStream : public RowStream {
         *ctx_.net, ctx_.retry_policy, ctx_.mediator_host, source_,
         static_cast<uint8_t>(wire::Opcode::kFetchChunk), writer.Release(),
         HashString(node_->fragment.table) ^ token_);
-    Account(call, &chunk);
+    chunk.elapsed_ms += call.elapsed_ms;
     GISQL_RETURN_NOT_OK(call.status);
     ByteReader reader(call.payload);
     GISQL_ASSIGN_OR_RETURN(wire::CursorChunk wire_chunk,
@@ -90,13 +90,6 @@ class FragmentStream : public RowStream {
   }
 
  private:
-  static void Account(const RetryResult& call, StreamChunk* chunk) {
-    chunk->elapsed_ms += call.elapsed_ms;
-    chunk->bytes_sent += call.bytes_sent;
-    chunk->bytes_received += call.bytes_received;
-    chunk->messages += call.attempts;
-  }
-
   /// Opens the source cursor, failing over across replica candidates
   /// exactly as the materializing executor does.
   Status Open(StreamChunk* chunk) {
@@ -119,7 +112,7 @@ class FragmentStream : public RowStream {
           *ctx_.net, ctx_.retry_policy, ctx_.mediator_host, source,
           static_cast<uint8_t>(wire::Opcode::kOpenCursor), writer.Release(),
           HashString(frag.table) ^ token_);
-      Account(call, chunk);
+      chunk->elapsed_ms += call.elapsed_ms;
       return call;
     };
     GISQL_ASSIGN_OR_RETURN(ReplicaAnswer answer,
@@ -200,9 +193,6 @@ class LimitStream : public RowStream {
     while (true) {
       GISQL_ASSIGN_OR_RETURN(StreamChunk in, child_->Next());
       chunk.elapsed_ms += in.elapsed_ms;
-      chunk.bytes_sent += in.bytes_sent;
-      chunk.bytes_received += in.bytes_received;
-      chunk.messages += in.messages;
       const int64_t arrived = static_cast<int64_t>(in.rows.num_rows());
       SliceRows(skip_, remaining_, &in.rows);
       skip_ -= std::min(skip_, arrived);
@@ -249,9 +239,6 @@ class UnionStream : public RowStream {
     while (current_ < members_.size()) {
       GISQL_ASSIGN_OR_RETURN(StreamChunk in, members_[current_]->Next());
       chunk.elapsed_ms += in.elapsed_ms;
-      chunk.bytes_sent += in.bytes_sent;
-      chunk.bytes_received += in.bytes_received;
-      chunk.messages += in.messages;
       if (in.done) {
         chunk.elapsed_ms += members_[current_]->Close();
         ++current_;

@@ -41,9 +41,6 @@ struct StreamChunk {
   /// Simulated milliseconds spent producing this chunk (source scan on
   /// the first fetch, wire transfer, mediator CPU).
   double elapsed_ms = 0.0;
-  int64_t bytes_sent = 0;
-  int64_t bytes_received = 0;
-  int64_t messages = 0;
 };
 
 /// \brief A pull operator: yields a streamable plan's result in

@@ -134,9 +134,11 @@ Column<R> Col(std::string name, V R::*member) {
           [member](const R& r) { return ToValue(r.*member); }};
 }
 
-/// \brief A data member of a member, e.g. `&G::admission, &Stats::queued`.
-template <typename R, typename M, typename V>
-Column<R> Col(std::string name, M R::*outer, V M::*inner) {
+/// \brief A data member of a member, e.g. `&G::admission, &Stats::queued`
+/// (`inner` may belong to a base of the member's type).
+template <typename R, typename M, typename B, typename V>
+  requires std::is_base_of_v<B, M>
+Column<R> Col(std::string name, M R::*outer, V B::*inner) {
   using catalogue_internal::ToValue;
   return {std::move(name), ToValue(V{}).type(),
           [outer, inner](const R& r) { return ToValue((r.*outer).*inner); }};

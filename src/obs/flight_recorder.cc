@@ -10,14 +10,22 @@ namespace gisql {
 namespace {
 
 /// The fields of each frame in an incident snapshot.
-const Columns<QueryFrame>& FrameColumns() {
-  using F = QueryFrame;
+const Columns<QueryLogEntry>& FrameColumns() {
+  using F = QueryLogEntry;
   static const auto* columns = new Columns<F>{
-      Col("id", &F::query_id).Json(), Col("tenant", &F::tenant).Json(),
+      Col("id", &F::id).Json(), Col("tenant", &F::tenant).Json(),
       Col("priority", &F::priority).Json(),
       Col("finish_ms", &F::finish_ms).Json(),
-      Col("sojourn_ms", &F::sojourn_ms).Json(), Col("rows", &F::rows).Json(),
-      Col("bytes", &F::bytes).Json(), Col("cache_hit", &F::cache_hit).Json(),
+      Column<F>("sojourn_ms", TypeId::kDouble,
+                [](const F& f) { return Value::Double(f.sojourn_ms()); })
+          .Json(),
+      Col("rows", &F::rows).Json(),
+      Column<F>("bytes", TypeId::kInt64,
+                [](const F& f) {
+                  return Value::Int(f.bytes_sent + f.bytes_received);
+                })
+          .Json(),
+      Col("cache_hit", &F::cache_hit).Json(),
       Col("shed", &F::shed_reason).Json(), Col("sql", &F::sql).Json()};
   return *columns;
 }
@@ -47,21 +55,21 @@ void FlightRecorder::SetSystemSnapshotFn(SystemSnapshotFn fn) {
   system_fn_ = std::move(fn);
 }
 
-void FlightRecorder::RecordFrame(const QueryFrame& frame) {
+void FlightRecorder::RecordFrame(QueryLogEntry frame) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!config_.enabled) return;
-  QueryFrame bounded = frame;
-  if (bounded.sql.size() > kMaxFrameSql) {
-    bounded.sql.resize(kMaxFrameSql);
-    bounded.sql += "...";
+  if (frame.sql.size() > kMaxFrameSql) {
+    frame.sql.resize(kMaxFrameSql);
+    frame.sql += "...";
   }
-  frames_.push_back(std::move(bounded));
+  const bool shed = frame.shed();
+  const double now = frame.finish_ms;
+  frames_.push_back(std::move(frame));
   while (frames_.size() > static_cast<size_t>(config_.ring)) {
     frames_.pop_front();
   }
 
-  if (!frame.shed_reason.empty()) {
-    double now = frame.finish_ms;
+  if (shed) {
     shed_times_.push_back(now);
     while (!shed_times_.empty() &&
            shed_times_.front() < now - config_.shed_window_ms) {
@@ -130,7 +138,7 @@ std::string FlightRecorder::BuildJson(const std::string& trigger,
   return out;
 }
 
-std::vector<QueryFrame> FlightRecorder::Frames() const {
+std::vector<QueryLogEntry> FlightRecorder::Frames() const {
   std::lock_guard<std::mutex> lock(mu_);
   return {frames_.begin(), frames_.end()};
 }

@@ -1,7 +1,8 @@
 /// \file flight_recorder.h
 /// \brief Always-on incident capture: a bounded ring of recent query
-/// frames plus a snapshotter that, on deterministic triggers, freezes
-/// "what the world looked like" into one JSON incident.
+/// records (QueryLogEntry frames) plus a snapshotter that, on
+/// deterministic triggers, freezes "what the world looked like" into
+/// one JSON incident.
 ///
 /// Postmortems of a federation failure usually start after the
 /// evidence is gone — the queue has drained, the breaker has closed,
@@ -31,21 +32,9 @@
 #include <string>
 #include <vector>
 
-namespace gisql {
+#include "obs/query_context.h"
 
-/// \brief Compact per-query frame retained in the recorder ring.
-struct QueryFrame {
-  int64_t query_id = 0;
-  std::string tenant;
-  int priority = 1;
-  double finish_ms = 0.0;
-  double sojourn_ms = 0.0;  ///< admission wait + execution
-  int64_t rows = 0;
-  int64_t bytes = 0;        ///< bytes_sent + bytes_received
-  bool cache_hit = false;
-  std::string shed_reason;  ///< "" when the query ran
-  std::string sql;          ///< truncated to kMaxFrameSql
-};
+namespace gisql {
 
 /// \brief One captured incident (a gis.incidents row).
 struct IncidentRecord {
@@ -97,16 +86,17 @@ class FlightRecorder {
   bool enabled() const;
   void SetSystemSnapshotFn(SystemSnapshotFn fn);
 
-  /// \brief Appends one finished/shed query to the frame ring and
-  /// runs the shed-spike trigger when the frame is a shed.
-  void RecordFrame(const QueryFrame& frame);
+  /// \brief Appends one finished/shed statement's record to the frame
+  /// ring, its SQL truncated to kMaxFrameSql, and runs the shed-spike
+  /// trigger when it is a shed.
+  void RecordFrame(QueryLogEntry frame);
 
   /// \brief Trigger hooks (no-ops while disabled or cooling down).
   void OnSloAlert(const std::string& objective, double now_ms,
                   double fast_burn, double slow_burn);
   void OnBreakerOpen(const std::string& source, double now_ms);
 
-  std::vector<QueryFrame> Frames() const;
+  std::vector<QueryLogEntry> Frames() const;
   std::vector<IncidentRecord> Incidents() const;
   int64_t incidents_captured() const;  ///< including any that aged out
 
@@ -121,7 +111,7 @@ class FlightRecorder {
   mutable std::mutex mu_;
   FlightConfig config_;
   SystemSnapshotFn system_fn_;
-  std::deque<QueryFrame> frames_;
+  std::deque<QueryLogEntry> frames_;
   std::deque<double> shed_times_;
   std::vector<IncidentRecord> incidents_;
   int64_t next_incident_id_ = 1;

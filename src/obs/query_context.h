@@ -1,20 +1,25 @@
 /// \file query_context.h
-/// \brief Workload attribution context: who submitted a query, at what
-/// priority, and when — threaded from Query()/Submit()/OpenCursor()
-/// through admission and execution into the query log and the
-/// per-tenant accountant — plus the Usage record of what it consumed.
+/// \brief The one per-statement record: who submitted a statement, at
+/// what priority and when (QueryContext), what it consumed (Usage), and
+/// how it ended (QueryLogEntry, which is both).
 ///
 /// The mediator serves a federation it does not own, and must stay
 /// answerable for *who* is consuming it. Every statement therefore
 /// carries a QueryContext; callers that do not name a tenant are
 /// attributed to kDefaultTenant so per-tenant sums always cover the
 /// whole workload (sum over gis.tenants == the global counters, with
-/// no unattributed remainder).
+/// no unattributed remainder). GlobalSystem::RecordQueryOutcome builds
+/// one QueryLogEntry per statement, and every observer reads that
+/// entry: the query log (gis.queries), the tenant ledger (gis.tenants),
+/// the SLO engine, and the flight recorder's frames. A fact added to
+/// the entry is therefore one field, visible to all four.
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 namespace gisql {
 
@@ -44,8 +49,8 @@ struct QueryContext {
 
 /// \brief What one statement — or one cursor operation — consumed,
 /// all on the simulation and fully deterministic. Every GlobalSystem
-/// entry point meters one, and the query log, the tenant ledger, and
-/// QueryMetrics are all rendered from it.
+/// entry point meters one into its QueryLogEntry, and QueryMetrics
+/// hands the same fields to the caller.
 struct Usage {
   double elapsed_ms = 0.0;     ///< simulated time
   int64_t bytes_sent = 0;      ///< mediator → sources
@@ -58,6 +63,51 @@ struct Usage {
   /// Booked memory-grant bytes; accumulates as a peak, not a sum
   /// (a cursor re-grants per chunk).
   int64_t mem_bytes = 0;
+
+  /// \brief Adds a later operation of the same statement (a cursor
+  /// fetch or close); memory keeps the peak.
+  Usage& operator+=(const Usage& op) {
+    elapsed_ms += op.elapsed_ms;
+    bytes_sent += op.bytes_sent;
+    bytes_received += op.bytes_received;
+    messages += op.messages;
+    retries += op.retries;
+    page_hits += op.page_hits;
+    page_misses += op.page_misses;
+    disk_ms += op.disk_ms;
+    mem_bytes = std::max(mem_bytes, op.mem_bytes);
+    return *this;
+  }
+};
+
+/// \brief One statement's record: its attribution, its usage, and how
+/// it ended. A statement refused before it ran carries zero usage; a
+/// cursor shed mid-fetch carries what it consumed until then.
+struct QueryLogEntry : QueryContext, Usage {
+  QueryLogEntry() = default;
+  QueryLogEntry(const QueryContext& qctx, const Usage& usage, std::string sql)
+      : QueryContext(qctx), Usage(usage), sql(std::move(sql)) {}
+
+  int64_t id = 0;  ///< 1-based, assigned by QueryLog::Append
+  std::string sql;  ///< statement text as submitted
+  /// Literal-stripped template hash (sql/fingerprint.h), stamped once
+  /// at the RecordQueryOutcome funnel. Two entries share a fingerprint
+  /// iff they are the same statement template with different literals
+  /// — the key for hot-template detection in the advisor and in user
+  /// queries over gis.queries.
+  std::string fingerprint;
+  int64_t rows = 0;  ///< result rows returned
+  /// Simulated completion instant (start + elapsed). Shed entries
+  /// finish at their refusal time.
+  double finish_ms = 0.0;
+  /// Why the governor refused this statement ("" = it ran).
+  std::string shed_reason;
+  bool cache_hit = false;
+  uint64_t trace_root = 0;  ///< root span id (0 when tracing is off)
+
+  bool shed() const { return !shed_reason.empty(); }
+  /// \brief Admission wait plus execution: what the SLO judges.
+  double sojourn_ms() const { return admission_wait_ms + elapsed_ms; }
 };
 
 }  // namespace gisql

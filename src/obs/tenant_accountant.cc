@@ -4,10 +4,9 @@
 
 namespace gisql {
 
-void TenantAccountant::Record(const std::string& tenant,
-                              const TenantCharge& charge) {
+void TenantAccountant::Record(const QueryLogEntry& entry) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string name = QueryContext::NormalizeTenant(tenant);
+  std::string name = QueryContext::NormalizeTenant(entry.tenant);
   auto it = tenants_.find(name);
   if (it == tenants_.end()) {
     // Past the bound, new tenants fold into the overflow bucket (which
@@ -21,29 +20,28 @@ void TenantAccountant::Record(const std::string& tenant,
       it->second.tenant = name;
     }
   }
-  Apply(&it->second, charge);
-  Apply(&totals_, charge);
+  Apply(&it->second, entry);
+  Apply(&totals_, entry);
 }
 
-void TenantAccountant::Apply(TenantUsage* usage,
-                             const TenantCharge& charge) const {
-  if (charge.shed) {
+void TenantAccountant::Apply(TenantUsage* usage, const QueryLogEntry& e) {
+  if (e.shed()) {
     usage->sheds += 1;
   } else {
     usage->queries += 1;
-    if (charge.cache_hit) usage->cache_hits += 1;
+    if (e.cache_hit) usage->cache_hits += 1;
   }
-  usage->rows += charge.rows;
-  usage->elapsed_ms += charge.elapsed_ms;
-  usage->admission_wait_ms += charge.admission_wait_ms;
-  usage->bytes_sent += charge.bytes_sent;
-  usage->bytes_received += charge.bytes_received;
-  usage->messages += charge.messages;
-  usage->retries += charge.retries;
-  usage->mem_peak_bytes = std::max(usage->mem_peak_bytes, charge.mem_bytes);
-  usage->page_hits += charge.page_hits;
-  usage->page_misses += charge.page_misses;
-  usage->disk_ms += charge.disk_ms;
+  usage->rows += e.rows;
+  usage->elapsed_ms += e.elapsed_ms;
+  usage->admission_wait_ms += e.admission_wait_ms;
+  usage->bytes_sent += e.bytes_sent;
+  usage->bytes_received += e.bytes_received;
+  usage->messages += e.messages;
+  usage->retries += e.retries;
+  usage->mem_peak_bytes = std::max(usage->mem_peak_bytes, e.mem_bytes);
+  usage->page_hits += e.page_hits;
+  usage->page_misses += e.page_misses;
+  usage->disk_ms += e.disk_ms;
 }
 
 std::vector<TenantUsage> TenantAccountant::SnapshotTenants() const {

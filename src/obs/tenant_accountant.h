@@ -38,7 +38,8 @@ namespace gisql {
 /// \brief Bucket absorbing tenants past the tracking bound.
 inline constexpr const char* kOverflowTenant = "~other";
 
-/// \brief One tenant's cumulative consumption (a gis.tenants row).
+/// \brief One tenant's cumulative consumption (a gis.tenants row): the
+/// sum of its QueryLogEntry records.
 /// All values are simulation-derived and deterministic.
 struct TenantUsage {
   std::string tenant;
@@ -55,24 +56,6 @@ struct TenantUsage {
   /// Largest single-query booked memory footprint (grant total).
   int64_t mem_peak_bytes = 0;
   /// Buffer-pool activity at the sources on this tenant's behalf.
-  int64_t page_hits = 0;
-  int64_t page_misses = 0;
-  double disk_ms = 0.0;
-};
-
-/// \brief One statement's attribution delta (the per-query counter
-/// deltas RunStatement/FinalizeCursor already compute).
-struct TenantCharge {
-  bool shed = false;  ///< refused: zero traffic, counted as a shed
-  bool cache_hit = false;
-  int64_t rows = 0;
-  double elapsed_ms = 0.0;
-  double admission_wait_ms = 0.0;
-  int64_t bytes_sent = 0;
-  int64_t bytes_received = 0;
-  int64_t messages = 0;
-  int64_t retries = 0;
-  int64_t mem_bytes = 0;  ///< the query grant's booked total
   int64_t page_hits = 0;
   int64_t page_misses = 0;
   double disk_ms = 0.0;
@@ -102,9 +85,9 @@ class TenantAccountant {
     max_tracked_ = std::max(config.max_tracked, 1);
   }
 
-  /// \brief Charges one statement to `tenant` and to the grand total
+  /// \brief Charges one statement to its tenant and to the grand total
   /// under a single lock hold, so the two can never diverge.
-  void Record(const std::string& tenant, const TenantCharge& charge);
+  void Record(const QueryLogEntry& entry);
 
   /// \brief All tracked tenants, sorted by name (deterministic).
   std::vector<TenantUsage> SnapshotTenants() const;
@@ -118,7 +101,7 @@ class TenantAccountant {
   void Reset();
 
  private:
-  void Apply(TenantUsage* usage, const TenantCharge& charge) const;
+  static void Apply(TenantUsage* usage, const QueryLogEntry& entry);
 
   mutable std::mutex mu_;
   int max_tracked_;

@@ -18,7 +18,7 @@ void PlannerOptions::ApplyEnv() {
   EnvOverride("GISQL_BREAKER_SEED", &breaker.seed);
   EnvOverride("GISQL_HEALTH_ROUTING", &health_aware_routing);
   EnvOverridePositive("GISQL_CURSOR_CHUNK_ROWS", &cursor_chunk_rows);
-  EnvOverride("GISQL_CURSOR_LEASE_MS", &cursor_lease_ms);
+  EnvOverrideNonNegative("GISQL_CURSOR_LEASE_MS", &cursor_lease_ms);
   EnvOverridePositive("GISQL_CURSOR_MAX_OPEN", &cursor_max_open);
   EnvOverridePositive("GISQL_TXN_MAX_ACTIVE", &txn_max_active);
   EnvOverride("GISQL_TXN_MAX_RETRIES", &txn_max_prepare_retries);

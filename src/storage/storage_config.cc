@@ -4,23 +4,13 @@
 
 namespace gisql {
 
-namespace {
-
-/// Latencies must be non-negative (sizes positive, see
-/// EnvOverridePositive); anything else leaves the default intact.
-void EnvMicros(const char* name, double* out) {
-  if (const auto v = EnvValue<double>(name); v && *v >= 0) *out = *v;
-}
-
-}  // namespace
-
 StorageConfig StorageConfig::FromEnv() {
   StorageConfig cfg;
   EnvOverridePositive("GISQL_PAGE_SIZE", &cfg.page_size);
   EnvOverridePositive("GISQL_BUFFER_POOL_FRAMES", &cfg.pool_frames);
   EnvOverridePositive("GISQL_LRUK_K", &cfg.lruk_k);
-  EnvMicros("GISQL_DISK_READ_US", &cfg.disk_read_us);
-  EnvMicros("GISQL_DISK_WRITE_US", &cfg.disk_write_us);
+  EnvOverrideNonNegative("GISQL_DISK_READ_US", &cfg.disk_read_us);
+  EnvOverrideNonNegative("GISQL_DISK_WRITE_US", &cfg.disk_write_us);
   // Degenerate values would wedge the pool; clamp to workable minima.
   if (cfg.page_size < 64) cfg.page_size = 64;
   if (cfg.pool_frames < 2) cfg.pool_frames = 2;

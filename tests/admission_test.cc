@@ -686,6 +686,24 @@ TEST(PlannerOptionsEnvTest, NonPositiveCursorAndTxnSizesKeepDefaults) {
   }
 }
 
+TEST(PlannerOptionsEnvTest, NegativeCursorLeaseKeepsDefault) {
+  setenv("GISQL_CURSOR_LEASE_MS", "-5", 1);
+  const PlannerOptions o = PlannerOptions::FromEnv();
+  setenv("GISQL_CURSOR_LEASE_MS", "0", 1);
+  const PlannerOptions zero = PlannerOptions::FromEnv();
+  unsetenv("GISQL_CURSOR_LEASE_MS");
+  EXPECT_DOUBLE_EQ(o.cursor_lease_ms, 30000.0);
+  EXPECT_DOUBLE_EQ(zero.cursor_lease_ms, 0.0);  // a zero lease is a setting
+  // A negative lease used to expire every cursor before its first fetch.
+  GlobalSystem gis(o);
+  Build(&gis);
+  auto cursor = gis.OpenCursor("SELECT cid FROM clients");
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  auto chunk = gis.FetchChunk(*cursor);
+  ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+  EXPECT_EQ(chunk->batch.num_rows(), 8u);
+}
+
 // ---------------------------------------------------------------------------
 // Schedule independence
 // ---------------------------------------------------------------------------

@@ -317,10 +317,11 @@ std::string RunLifecycle(bool parallel) {
   t.Line(gis.ExportPrometheus());
   t.Line("== flight frames");
   for (const auto& f : gis.flight_recorder().Frames()) {
-    t.Line(std::to_string(f.query_id) + " " + f.tenant + " p" +
+    t.Line(std::to_string(f.id) + " " + f.tenant + " p" +
            std::to_string(f.priority) + " finish=" + Num(f.finish_ms) +
-           " sojourn=" + Num(f.sojourn_ms) + " rows=" +
-           std::to_string(f.rows) + " bytes=" + std::to_string(f.bytes) +
+           " sojourn=" + Num(f.sojourn_ms()) + " rows=" +
+           std::to_string(f.rows) + " bytes=" +
+           std::to_string(f.bytes_sent + f.bytes_received) +
            " hit=" + (f.cache_hit ? "1" : "0") + " shed=" + f.shed_reason +
            " " + f.sql);
   }

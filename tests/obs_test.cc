@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -25,8 +26,10 @@ namespace {
 // Tenant accountant
 // ---------------------------------------------------------------------------
 
-TenantCharge MakeCharge(int64_t rows, double elapsed_ms, int64_t bytes) {
-  TenantCharge c;
+QueryLogEntry MakeCharge(const std::string& tenant, int64_t rows,
+                         double elapsed_ms, int64_t bytes) {
+  QueryLogEntry c;
+  c.tenant = tenant;
   c.rows = rows;
   c.elapsed_ms = elapsed_ms;
   c.bytes_sent = bytes;
@@ -76,16 +79,18 @@ void ExpectSumsEqualTotals(const TenantAccountant& acct) {
 
 TEST(TenantAccountantTest, SumOfTenantsEqualsTotals) {
   TenantAccountant acct;
-  acct.Record("alpha", MakeCharge(10, 5.0, 100));
-  acct.Record("beta", MakeCharge(20, 2.5, 50));
-  acct.Record("alpha", MakeCharge(1, 0.5, 10));
-  TenantCharge shed;
-  shed.shed = true;
-  acct.Record("gamma", shed);
-  TenantCharge hit;
+  acct.Record(MakeCharge("alpha", 10, 5.0, 100));
+  acct.Record(MakeCharge("beta", 20, 2.5, 50));
+  acct.Record(MakeCharge("alpha", 1, 0.5, 10));
+  QueryLogEntry shed;
+  shed.tenant = "gamma";
+  shed.shed_reason = "queue_full";
+  acct.Record(shed);
+  QueryLogEntry hit;
+  hit.tenant = "beta";
   hit.cache_hit = true;
   hit.rows = 3;
-  acct.Record("beta", hit);
+  acct.Record(hit);
 
   EXPECT_EQ(acct.tracked_count(), 3u);
   const auto rows = acct.SnapshotTenants();
@@ -105,25 +110,26 @@ TEST(TenantAccountantTest, SumOfTenantsEqualsTotals) {
 
 TEST(TenantAccountantTest, MemPeakIsMaxNotSum) {
   TenantAccountant acct;
-  TenantCharge big;
+  QueryLogEntry big;
+  big.tenant = "a";
   big.mem_bytes = 5000;
-  TenantCharge small;
+  QueryLogEntry small = big;
   small.mem_bytes = 100;
-  acct.Record("a", big);
-  acct.Record("a", small);
+  acct.Record(big);
+  acct.Record(small);
   EXPECT_EQ(acct.SnapshotTenants()[0].mem_peak_bytes, 5000);
   EXPECT_EQ(acct.Totals().mem_peak_bytes, 5000);
 }
 
 TEST(TenantAccountantTest, OverflowFoldsIntoBucketAndInvariantHolds) {
   TenantAccountant acct(TenantConfig{.max_tracked = 2});
-  acct.Record("a", MakeCharge(1, 1.0, 10));
-  acct.Record("b", MakeCharge(2, 1.0, 10));
+  acct.Record(MakeCharge("a", 1, 1.0, 10));
+  acct.Record(MakeCharge("b", 2, 1.0, 10));
   // Map is full: c and d land in the overflow bucket; a and b keep
   // accumulating under their own names (first-seen-wins).
-  acct.Record("c", MakeCharge(4, 1.0, 10));
-  acct.Record("d", MakeCharge(8, 1.0, 10));
-  acct.Record("a", MakeCharge(16, 1.0, 10));
+  acct.Record(MakeCharge("c", 4, 1.0, 10));
+  acct.Record(MakeCharge("d", 8, 1.0, 10));
+  acct.Record(MakeCharge("a", 16, 1.0, 10));
 
   EXPECT_EQ(acct.tracked_count(), 2u);
   const auto rows = acct.SnapshotTenants();
@@ -138,7 +144,7 @@ TEST(TenantAccountantTest, OverflowFoldsIntoBucketAndInvariantHolds) {
 
 TEST(TenantAccountantTest, EmptyTenantNormalizesToDefault) {
   TenantAccountant acct;
-  acct.Record("", MakeCharge(1, 1.0, 1));
+  acct.Record(MakeCharge("", 1, 1.0, 1));
   const auto rows = acct.SnapshotTenants();
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].tenant, kDefaultTenant);
@@ -283,12 +289,12 @@ TEST(SloEngineTest, PrioritiesMapToDistinctObjectives) {
 // Flight recorder
 // ---------------------------------------------------------------------------
 
-QueryFrame MakeFrame(double finish_ms, const std::string& shed = "") {
-  QueryFrame f;
-  f.query_id = static_cast<int64_t>(finish_ms);
+QueryLogEntry MakeFrame(double finish_ms, const std::string& shed = "") {
+  QueryLogEntry f;
+  f.id = static_cast<int64_t>(finish_ms);
   f.tenant = "t1";
   f.finish_ms = finish_ms;
-  f.sojourn_ms = 5.0;
+  f.elapsed_ms = 5.0;
   f.shed_reason = shed;
   f.sql = "SELECT 1";
   return f;
@@ -307,7 +313,7 @@ TEST(FlightRecorderTest, RingKeepsMostRecentFrames) {
 
 TEST(FlightRecorderTest, LongSqlIsTruncatedInFrames) {
   FlightRecorder rec;
-  QueryFrame f = MakeFrame(1.0);
+  QueryLogEntry f = MakeFrame(1.0);
   f.sql = std::string(500, 'x');
   rec.RecordFrame(f);
   const auto frames = rec.Frames();
@@ -446,13 +452,103 @@ void Build(GlobalSystem* gis) {
   ASSERT_TRUE(gis->ImportSource("hq").ok());
 }
 
+/// The ledger row the query log implies for `entries`: every column
+/// gis.tenants shows, summed (memory as the peak).
+TenantUsage LedgerFromLog(const std::vector<QueryLogEntry>& entries) {
+  TenantUsage u;
+  for (const QueryLogEntry& e : entries) {
+    (e.shed_reason.empty() ? u.queries : u.sheds) += 1;
+    u.cache_hits += e.cache_hit ? 1 : 0;
+    u.rows += e.rows;
+    u.elapsed_ms += e.elapsed_ms;
+    u.admission_wait_ms += e.admission_wait_ms;
+    u.bytes_sent += e.bytes_sent;
+    u.bytes_received += e.bytes_received;
+    u.messages += e.messages;
+    u.retries += e.retries;
+    u.mem_peak_bytes = std::max(u.mem_peak_bytes, e.mem_bytes);
+    u.page_hits += e.page_hits;
+    u.page_misses += e.page_misses;
+    u.disk_ms += e.disk_ms;
+  }
+  return u;
+}
+
+void ExpectSameLedger(const TenantUsage& want, const TenantUsage& got,
+                      const std::string& who) {
+  EXPECT_EQ(want.queries, got.queries) << who;
+  EXPECT_EQ(want.sheds, got.sheds) << who;
+  EXPECT_EQ(want.cache_hits, got.cache_hits) << who;
+  EXPECT_EQ(want.rows, got.rows) << who;
+  EXPECT_DOUBLE_EQ(want.elapsed_ms, got.elapsed_ms) << who;
+  EXPECT_DOUBLE_EQ(want.admission_wait_ms, got.admission_wait_ms) << who;
+  EXPECT_EQ(want.bytes_sent, got.bytes_sent) << who;
+  EXPECT_EQ(want.bytes_received, got.bytes_received) << who;
+  EXPECT_EQ(want.messages, got.messages) << who;
+  EXPECT_EQ(want.retries, got.retries) << who;
+  EXPECT_EQ(want.mem_peak_bytes, got.mem_peak_bytes) << who;
+  EXPECT_EQ(want.page_hits, got.page_hits) << who;
+  EXPECT_EQ(want.page_misses, got.page_misses) << who;
+  EXPECT_DOUBLE_EQ(want.disk_ms, got.disk_ms) << who;
+}
+
 TEST(WorkloadIntelligenceTest, SubmitAttributesToNamedTenant) {
-  GlobalSystem gis;
+  // One slot and a one-deep queue: a third arrival at t=0 is shed.
+  PlannerOptions options;
+  options.admission.max_concurrent = 1;
+  options.admission.queue_limit = 1;
+  GlobalSystem gis(options);
+  // Small pages in a two-frame pool, so scans miss and charge disk time.
+  setenv("GISQL_PAGE_SIZE", "64", 1);
+  setenv("GISQL_BUFFER_POOL_FRAMES", "2", 1);
   Build(&gis);
+  unsetenv("GISQL_PAGE_SIZE");
+  unsetenv("GISQL_BUFFER_POOL_FRAMES");
+  gis.EnableResultCache();
   GlobalSystem::SubmitOptions submit;
   submit.tenant = "acme";
   ASSERT_TRUE(gis.Submit("SELECT COUNT(*) FROM orders", submit).ok());
   ASSERT_TRUE(gis.Query("SELECT MAX(oid) FROM orders").ok());
+
+  // Every kind of record: a queued statement, an admission shed, a
+  // cache hit, a drained cursor and an expired one.
+  GlobalSystem::SubmitOptions burst;
+  burst.tenant = "burst";
+  burst.priority = 2;  // may use the whole queue
+  burst.arrival_ms = gis.governor().now_ms();
+  ASSERT_TRUE(gis.Submit("SELECT SUM(total) FROM orders", burst).ok());
+  auto queued = gis.Submit("SELECT MIN(total) FROM orders", burst);
+  ASSERT_TRUE(queued.ok()) << queued.status().ToString();
+  EXPECT_TRUE(
+      gis.Submit("SELECT AVG(total) FROM orders", burst).status().IsOverloaded());
+  GlobalSystem::SubmitOptions beta;
+  beta.tenant = "beta";
+  ASSERT_TRUE(gis.Submit("SELECT cid FROM orders WHERE oid < 4", beta).ok());
+  auto hit = gis.Submit("SELECT cid FROM orders WHERE oid < 4", beta);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->metrics.cache_hit);
+  GlobalSystem::CursorOptions lapsing;
+  lapsing.submit = beta;
+  lapsing.chunk_rows = 8;
+  lapsing.lease_ms = 0.0;
+  auto expiring = gis.OpenCursor("SELECT oid FROM orders", lapsing);
+  ASSERT_TRUE(expiring.ok());
+  ASSERT_TRUE(gis.FetchChunk(*expiring).ok());
+  GlobalSystem::CursorOptions draining;
+  draining.submit = beta;
+  draining.chunk_rows = 8;
+  auto drained = gis.OpenCursor("SELECT oid, total FROM orders", draining);
+  ASSERT_TRUE(drained.ok());
+  for (bool done = false; !done;) {
+    auto chunk = gis.FetchChunk(*drained);
+    ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+    done = chunk->done;
+  }
+  ASSERT_TRUE(gis.CloseCursor(*expiring).ok());
+  EXPECT_EQ(gis.cursors().Find(*drained)->state,
+            CursorManager::State::kDrained);
+  EXPECT_EQ(gis.cursors().Find(*expiring)->state,
+            CursorManager::State::kExpired);
 
   const auto rows = gis.tenants().SnapshotTenants();
   std::map<std::string, TenantUsage> by_name;
@@ -463,13 +559,47 @@ TEST(WorkloadIntelligenceTest, SubmitAttributesToNamedTenant) {
   EXPECT_GT(by_name["acme"].bytes_received, 0);
   EXPECT_GT(by_name["acme"].messages, 0);
   EXPECT_EQ(by_name["default"].queries, 1);
+  EXPECT_EQ(by_name["burst"].sheds, 1);
+  EXPECT_GT(by_name["burst"].admission_wait_ms, 0.0);
+  EXPECT_EQ(by_name["beta"].cache_hits, 1);
+  EXPECT_EQ(by_name["beta"].queries, 4);  // two Submits, two cursors
 
-  // The per-tenant ledger and the query log tell the same story.
-  int64_t log_bytes = 0;
-  for (const auto& e : gis.query_log().Snapshot()) {
-    log_bytes += e.bytes_received;
+  // The per-tenant ledger and the query log tell the same story, in
+  // every column.
+  const std::vector<QueryLogEntry> log = gis.query_log().Snapshot();
+  ASSERT_EQ(log.size(), 9u);
+  std::map<std::string, std::vector<QueryLogEntry>> log_by_tenant;
+  for (const auto& e : log) log_by_tenant[e.tenant].push_back(e);
+  ASSERT_EQ(log_by_tenant.size(), by_name.size());
+  for (const auto& [tenant, entries] : log_by_tenant) {
+    ExpectSameLedger(LedgerFromLog(entries), by_name[tenant], tenant);
   }
-  EXPECT_EQ(gis.tenants().Totals().bytes_received, log_bytes);
+  ExpectSameLedger(LedgerFromLog(log), gis.tenants().Totals(), "*");
+  // No column compares zero with zero.
+  const TenantUsage totals = gis.tenants().Totals();
+  EXPECT_GT(totals.mem_peak_bytes, 0);
+  EXPECT_GT(totals.page_hits, 0);
+  EXPECT_GT(totals.page_misses, 0);
+  EXPECT_GT(totals.disk_ms, 0.0);
+
+  // The flight frames are the same records: one per log row, with the
+  // sojourn and byte figures the incident JSON shows.
+  const std::vector<QueryLogEntry> frames = gis.flight_recorder().Frames();
+  ASSERT_EQ(frames.size(), log.size());
+  for (size_t i = 0; i < log.size(); ++i) {
+    const QueryLogEntry& e = log[i];
+    const QueryLogEntry& f = frames[i];
+    EXPECT_EQ(f.id, e.id);
+    EXPECT_EQ(f.tenant, e.tenant);
+    EXPECT_EQ(f.sql, e.sql);  // all shorter than the truncation bound
+    EXPECT_DOUBLE_EQ(f.sojourn_ms(), e.admission_wait_ms + e.elapsed_ms);
+    EXPECT_EQ(f.bytes_sent + f.bytes_received,
+              e.bytes_sent + e.bytes_received);
+    EXPECT_EQ(f.rows, e.rows);
+    EXPECT_DOUBLE_EQ(f.finish_ms, e.finish_ms);
+    EXPECT_EQ(f.cache_hit, e.cache_hit);
+    EXPECT_EQ(f.shed_reason, e.shed_reason);
+  }
 }
 
 TEST(WorkloadIntelligenceTest, QueryLogCarriesTenantAndFinish) {
