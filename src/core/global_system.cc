@@ -551,9 +551,6 @@ Result<std::vector<uint8_t>> GlobalSystem::RetriedCall(
 }
 
 void GlobalSystem::RecordQueryOutcome(QueryLogEntry entry) {
-  // Template fingerprint: literals/whitespace normalized away, so the
-  // advisor (and gis.queries readers) can group recurring shapes.
-  entry.fingerprint = sql::FingerprintHex(entry.sql);
   tenants_.Record(entry);
   const int priority = entry.priority;
   const double finish_ms = entry.finish_ms;
@@ -597,6 +594,10 @@ void GlobalSystem::RecordQueryOutcome(QueryLogEntry entry) {
 void GlobalSystem::RecordShed(const std::string& sql, const QueryContext& qctx,
                               double at_ms, const char* reason) {
   QueryLogEntry entry(qctx, Usage(), sql);
+  // Template fingerprint: literals/whitespace normalized away, so the
+  // advisor (and gis.queries readers) can group recurring shapes. No
+  // parse is at hand where a statement is shed, so this lexes the text.
+  entry.fingerprint = sql::FingerprintHex(sql);
   entry.finish_ms = at_ms;
   entry.shed_reason = reason;
   RecordQueryOutcome(std::move(entry));
@@ -729,6 +730,7 @@ Result<QueryResult> GlobalSystem::RunStatement(const std::string& sql,
   // computation (fragments, strategies, planner options all shape it).
   const std::string cache_key = use_cache ? plan->Explain() : std::string();
   QueryLogEntry entry(qctx, Usage(), sql);
+  entry.fingerprint = std::move(stmt.fingerprint);
   entry.trace_root = root;
   if (use_cache) {
     const uint64_t lookup =
@@ -903,9 +905,10 @@ Result<uint64_t> GlobalSystem::OpenCursor(const std::string& sql,
   opened.mem_bytes = grant.used();
   const double opened_at =
       adm.governed ? adm.qctx.start_ms + open_elapsed : governor_.now_ms();
-  CursorManager::Entry& e =
-      cursors_.Create(QueryLogEntry(adm.qctx, opened, sql), streaming,
-                      chunk_rows, opened_at, lease_ms);
+  QueryLogEntry record(adm.qctx, opened, sql);
+  record.fingerprint = std::move(stmt_or->fingerprint);
+  CursorManager::Entry& e = cursors_.Create(std::move(record), streaming,
+                                            chunk_rows, opened_at, lease_ms);
   e.stream = std::move(stream);
   e.plan = std::move(plan);
   e.grant = std::move(grant);
@@ -1034,10 +1037,14 @@ void GlobalSystem::FinalizeCursor(CursorManager::Entry& entry,
   RecordQueryOutcome(entry.record);
   // cursor.drained / cursor.closed / cursor.expired.
   metrics_.Add(std::string("cursor.") + CursorManager::StateName(state), 1);
-  metrics_.Add("query.count", 1);
-  metrics_.Observe("query.ms", entry.record.elapsed_ms);
-  metrics_.Observe("query.bytes",
-                   static_cast<double>(entry.record.bytes_received));
+  // A shed cursor is already counted in admission.shed, and a statement
+  // is either executed or shed.
+  if (!entry.record.shed()) {
+    metrics_.Add("query.count", 1);
+    metrics_.Observe("query.ms", entry.record.elapsed_ms);
+    metrics_.Observe("query.bytes",
+                     static_cast<double>(entry.record.bytes_received));
+  }
   // The snapshot pin releases together with the grant below — an
   // expired lease frees its spool memory and its version-chain hold
   // on the GC watermark in the same step.

@@ -68,12 +68,11 @@ struct SloAlert {
 };
 
 /// \brief SLO evaluation knobs (PlannerOptions::slo).
+///
+/// Evaluation runs on every statement and costs amortized O(1) per
+/// Record, whatever the arrival rate or window length: each event is
+/// counted once on arrival and uncounted once when it leaves a window.
 struct SloConfig {
-  /// Evaluate SLO objectives on every statement (GISQL_SLO_ENABLED).
-  /// Not free: each record scans both whole windows, so its cost grows
-  /// with the arrival rate (about 23 µs per statement at 300 arrivals/s
-  /// over the default 60 s slow window). On by default all the same.
-  bool enabled = true;
   /// Fast error-budget window, simulated ms (GISQL_SLO_FAST_WINDOW_MS).
   double fast_window_ms = 5000.0;
   /// Slow error-budget window, simulated ms (GISQL_SLO_SLOW_WINDOW_MS).
@@ -85,7 +84,8 @@ struct SloConfig {
   bool operator==(const SloConfig&) const = default;
 };
 
-/// \brief Rolling-window SLO evaluator; thread-safe, deterministic.
+/// \brief Rolling-window SLO evaluator; thread-safe, deterministic,
+/// amortized O(1) per Record (running window counts, no scans).
 class SloEngine {
  public:
   SloEngine() { UseDefaultObjectives(); }
@@ -98,13 +98,14 @@ class SloEngine {
   /// p<=1000ms @ 90%.
   void UseDefaultObjectives();
 
-  /// \brief Applies the switch, windows and threshold; a non-positive
-  /// window or threshold keeps the current one, and the slow window
-  /// never ends up shorter than the fast one.
+  /// \brief Applies the windows and threshold; a non-positive window
+  /// or threshold keeps the current one, and the slow window never
+  /// ends up shorter than the fast one. Recounts both windows once
+  /// (O(events held)), since a changed window moves their starts.
   void Configure(const SloConfig& config);
 
-  /// \brief Feeds one completed-or-shed statement (a no-op while
-  /// disabled). `finish_ms` is the simulated completion instant;
+  /// \brief Feeds one completed-or-shed statement in amortized O(1).
+  /// `finish_ms` is the simulated completion instant;
   /// `sojourn_ms` is wait + execution; shed events are never good.
   /// Re-evaluates burn rates and latches rising-edge alerts at exactly
   /// `finish_ms`; the alerts this event raised are returned so the
@@ -113,7 +114,9 @@ class SloEngine {
                                double sojourn_ms, bool shed);
 
   /// \brief Current evaluation of every objective, in declaration
-  /// order (deterministic).
+  /// order (deterministic), at the latest event's instant. Moves each
+  /// window's start forward to that instant, which later reads (never
+  /// earlier) would do anyway; the events themselves are not touched.
   std::vector<SloStatus> Snapshot() const;
 
   /// \brief Every rising-edge alert so far, in simulated-time order.
@@ -125,9 +128,21 @@ class SloEngine {
     double at_ms;
     bool good;
   };
+  /// Recorded event times never decrease (Record clamps them), so each
+  /// window is a suffix of `events` — the events at or after
+  /// `now - window` — and moving `now` forward only moves its start
+  /// forward. The running counts therefore stay exact.
   struct Tracked {
     SloObjective objective;
-    std::deque<Event> events;  ///< within the slow window
+    /// Oldest first; trimmed to the slow window at this objective's
+    /// own events.
+    std::deque<Event> events;
+    /// events[slow_start..] is the slow window, events[fast_start..]
+    /// the fast one (slow_start <= fast_start), with their good counts.
+    mutable size_t slow_start = 0;
+    mutable size_t fast_start = 0;
+    mutable int64_t slow_good = 0;
+    mutable int64_t fast_good = 0;
     /// Rising-edge latch: the breach state at this objective's latest
     /// own event (Snapshot reports the current state instead).
     bool alerting = false;
@@ -135,9 +150,10 @@ class SloEngine {
     double last_alert_ms = -1.0;
   };
 
-  static void CountWindow(const std::deque<Event>& events, double now_ms,
-                          double window_ms, int64_t* total, int64_t* good);
-  SloStatus Evaluate(const Tracked& tracked, double now_ms) const;
+  /// Moves both window starts past the events older than their window
+  /// at `now_ms`, uncounting them. Forward only: `now_ms` never falls.
+  void Advance(const Tracked& tracked, double now_ms) const;
+  SloStatus Evaluate(const Tracked& tracked) const;
 
   mutable std::mutex mu_;
   SloConfig config_;

@@ -25,7 +25,6 @@ void PlannerOptions::ApplyEnv() {
   EnvOverride("GISQL_TXN_GC", &txn_gc);
   EnvOverride("GISQL_INDEX_RANGE_SCAN", &enable_index_range_scan);
   EnvOverride("GISQL_INDEX_JOIN", &enable_index_join);
-  EnvOverride("GISQL_SLO_ENABLED", &slo.enabled);
   EnvOverride("GISQL_SLO_FAST_WINDOW_MS", &slo.fast_window_ms);
   EnvOverride("GISQL_SLO_SLOW_WINDOW_MS", &slo.slow_window_ms);
   EnvOverride("GISQL_SLO_BURN_ALERT", &slo.burn_alert);

@@ -167,6 +167,9 @@ struct Statement {
   std::unique_ptr<InsertStmt> insert;
   std::unique_ptr<DeleteStmt> del;   ///< kDelete
   std::unique_ptr<DropTableStmt> drop_table;
+  /// sql::FingerprintHex of the statement, taken from the parse's own
+  /// tokens (the gis.queries `fingerprint`).
+  std::string fingerprint;
 };
 
 }  // namespace sql

@@ -1,9 +1,8 @@
 #include "sql/fingerprint.h"
 
-#include <vector>
+#include <cstdint>
 
 #include "sql/lexer.h"
-#include "sql/token.h"
 
 namespace gisql {
 namespace sql {
@@ -41,15 +40,9 @@ std::string TokenText(const Token& t) {
   }
 }
 
-}  // namespace
-
-std::string NormalizeStatement(const std::string& statement) {
-  Lexer lexer(statement);
-  auto tokens = lexer.Tokenize();
-  if (!tokens.ok()) return statement;
+std::string NormalizeTokens(const std::vector<Token>& tokens) {
   std::string out;
-  out.reserve(statement.size());
-  for (const Token& t : *tokens) {
+  for (const Token& t : tokens) {
     if (t.type == TokenType::kEnd) break;
     if (!out.empty()) out += ' ';
     out += TokenText(t);
@@ -57,18 +50,16 @@ std::string NormalizeStatement(const std::string& statement) {
   return out;
 }
 
-uint64_t FingerprintHash(const std::string& statement) {
-  const std::string normalized = NormalizeStatement(statement);
+uint64_t Fnv1a(const std::string& text) {
   uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
-  for (const char c : normalized) {
+  for (const char c : text) {
     h ^= static_cast<uint8_t>(c);
     h *= 1099511628211ULL;  // FNV-1a prime
   }
   return h;
 }
 
-std::string FingerprintHex(const std::string& statement) {
-  uint64_t h = FingerprintHash(statement);
+std::string Hex(uint64_t h) {
   static const char* kHex = "0123456789abcdef";
   std::string out(16, '0');
   for (int i = 15; i >= 0; --i) {
@@ -76,6 +67,23 @@ std::string FingerprintHex(const std::string& statement) {
     h >>= 4;
   }
   return out;
+}
+
+}  // namespace
+
+std::string NormalizeStatement(const std::string& statement) {
+  Lexer lexer(statement);
+  auto tokens = lexer.Tokenize();
+  if (!tokens.ok()) return statement;
+  return NormalizeTokens(*tokens);
+}
+
+std::string FingerprintHex(const std::string& statement) {
+  return Hex(Fnv1a(NormalizeStatement(statement)));
+}
+
+std::string FingerprintHex(const std::vector<Token>& tokens) {
+  return Hex(Fnv1a(NormalizeTokens(tokens)));
 }
 
 }  // namespace sql

@@ -11,8 +11,10 @@
 
 #pragma once
 
-#include <cstdint>
 #include <string>
+#include <vector>
+
+#include "sql/token.h"
 
 namespace gisql {
 namespace sql {
@@ -23,12 +25,15 @@ namespace sql {
 /// input unchanged — a malformed query is its own template.
 std::string NormalizeStatement(const std::string& statement);
 
-/// \brief FNV-1a 64-bit hash of NormalizeStatement(statement).
-uint64_t FingerprintHash(const std::string& statement);
-
-/// \brief FingerprintHash rendered as 16 lower-case hex digits — the
-/// value stored in QueryLogEntry::fingerprint / gis.queries.
+/// \brief FNV-1a 64-bit hash of NormalizeStatement(statement), rendered
+/// as 16 lower-case hex digits — the value stored in
+/// QueryLogEntry::fingerprint / gis.queries.
 std::string FingerprintHex(const std::string& statement);
+
+/// \brief The same fingerprint from an already-lexed statement, so a
+/// parse need not lex twice: equals FingerprintHex(s) whenever
+/// `tokens` is the successful Tokenize() of `s`.
+std::string FingerprintHex(const std::vector<Token>& tokens);
 
 }  // namespace sql
 }  // namespace gisql

@@ -1,6 +1,7 @@
 #include "sql/parser.h"
 
 #include "common/string_util.h"
+#include "sql/fingerprint.h"
 #include "sql/lexer.h"
 #include "types/datetime.h"
 
@@ -686,8 +687,11 @@ Result<ParseExprPtr> Parser::ParseFuncCallOrColumn() {
 Result<Statement> ParseStatement(const std::string& input) {
   Lexer lexer(input);
   GISQL_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Tokenize());
+  std::string fingerprint = FingerprintHex(tokens);
   internal::Parser parser(std::move(tokens));
-  return parser.ParseStatement();
+  GISQL_ASSIGN_OR_RETURN(Statement stmt, parser.ParseStatement());
+  stmt.fingerprint = std::move(fingerprint);
+  return stmt;
 }
 
 Result<SelectStmtPtr> ParseSelect(const std::string& input) {

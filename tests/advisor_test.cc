@@ -15,6 +15,8 @@
 
 #include "core/global_system.h"
 #include "sql/fingerprint.h"
+#include "sql/lexer.h"
+#include "sql/parser.h"
 
 namespace gisql {
 namespace {
@@ -102,6 +104,63 @@ TEST(Fingerprint, StampedIntoQueryLog) {
     ++matches;
   }
   EXPECT_EQ(matches, 2);  // both literals collapse to one template
+}
+
+TEST(Fingerprint, ParseTokensGiveTheSqlFingerprint) {
+  // The parse stamps the fingerprint from its own tokens; it must equal
+  // the one FingerprintHex re-lexes the text for.
+  const std::vector<std::string> corpus = {
+      "SELECT x FROM t WHERE id = 7",
+      "select x from t  where id=42",
+      "SELECT\tx\nFROM t\r\n  WHERE id = -7.25e3",
+      "SELECT x FROM t WHERE name = 'it''s' AND id IN (1, 2.5, 'x')",
+      "SELECT x FROM t -- a trailing comment",
+      "-- leading comment\nSELECT x FROM t;",
+      "SELECT \"Quoted Col\", t.y FROM t WHERE a <> b AND c >= 1 "
+      "OR d <= 2 OR e < 3 OR f > 4",
+      "SELECT COUNT(*) / 2 % 3 + 1 FROM t GROUP BY y ORDER BY y LIMIT 5",
+      "EXPLAIN SELECT pname FROM products WHERE pid = 3",
+      "SELECT FROM WHERE",  // lexes, does not parse
+      "",
+  };
+  int parsed = 0;
+  for (const std::string& text : corpus) {
+    auto tokens = sql::Lexer(text).Tokenize();
+    ASSERT_TRUE(tokens.ok()) << text;
+    EXPECT_EQ(sql::FingerprintHex(*tokens), sql::FingerprintHex(text))
+        << text;
+    auto stmt = sql::ParseStatement(text);
+    if (!stmt.ok()) continue;
+    EXPECT_EQ(stmt->fingerprint, sql::FingerprintHex(text)) << text;
+    ++parsed;
+  }
+  EXPECT_EQ(parsed, 9);
+}
+
+TEST(Fingerprint, ParsedAndNeverParsedStatementsInQueryLog) {
+  PlannerOptions options;
+  options.cursor_max_open = 1;
+  GlobalSystem gis(options);
+  BuildSplitFederation(&gis);
+  auto id = gis.OpenCursor(ProductQuery(4));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  // Over the cursor cap the open is shed before any parse; this text
+  // does not even lex, so it is its own template.
+  const std::string bad = "SELECT 'unterminated FROM products";
+  ASSERT_FALSE(sql::Lexer(bad).Tokenize().ok());
+  EXPECT_EQ(sql::NormalizeStatement(bad), bad);
+  auto shed = gis.OpenCursor(bad);
+  ASSERT_FALSE(shed.ok());
+  EXPECT_TRUE(shed.status().IsOverloaded()) << shed.status().ToString();
+  ASSERT_TRUE(gis.CloseCursor(*id).ok());
+
+  auto r = gis.Query("SELECT sql, fingerprint FROM gis.queries");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->batch.num_rows(), 2u);
+  for (const auto& row : r->batch.rows()) {
+    EXPECT_EQ(row[1].AsString(), sql::FingerprintHex(row[0].AsString()))
+        << row[0].AsString();
+  }
 }
 
 TEST(Advisor, MaterializesHotTemplateAndServesSameRows) {

@@ -372,6 +372,10 @@ TEST(CursorSystemTest, ChunkOverBudgetFinalizesCursorAndReleases) {
   EXPECT_EQ(entry->state, CursorManager::State::kClosed);
   EXPECT_EQ(gis.governor().memory().in_use(), gis.BufferPoolResidentBytes());
   EXPECT_EQ((*gis.GetSource("hq"))->open_cursors(), 0u);
+  // The statement is shed, not executed: the registry counts it once,
+  // like the tenant ledger does.
+  EXPECT_EQ(gis.metrics().Get("query.count"), 0);
+  EXPECT_EQ(gis.metrics().Get("admission.shed"), 1);
   auto log = gis.Query(
       "SELECT sql FROM gis.queries WHERE shed_reason = 'memory_budget'");
   ASSERT_TRUE(log.ok()) << log.status().ToString();

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <deque>
 #include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -283,6 +286,287 @@ TEST(SloEngineTest, PrioritiesMapToDistinctObjectives) {
   EXPECT_EQ(snap[2].name, "background");
   EXPECT_DOUBLE_EQ(snap[2].slow_attainment, 1.0);
   EXPECT_TRUE(snap[0].alerting);
+}
+
+// The backward-scan engine SloEngine's running counts replaced, kept
+// as the property test's reference: every evaluation re-scans both
+// windows from the newest event back.
+class ScanSloReference {
+ public:
+  ScanSloReference() { UseDefaultObjectives(); }
+
+  void SetObjectives(std::vector<SloObjective> objectives) {
+    tracked_.clear();
+    for (auto& objective : objectives) {
+      Tracked tracked;
+      tracked.objective = std::move(objective);
+      tracked_.push_back(std::move(tracked));
+    }
+    alert_log_.clear();
+    last_event_ms_ = 0.0;
+  }
+
+  void UseDefaultObjectives() {
+    SetObjectives({{"interactive", 2, 50.0, 0.99},
+                   {"normal", 1, 200.0, 0.95},
+                   {"background", 0, 1000.0, 0.90}});
+  }
+
+  void Configure(const SloConfig& config) {
+    if (config.fast_window_ms > 0) fast_window_ms_ = config.fast_window_ms;
+    if (config.slow_window_ms > 0) slow_window_ms_ = config.slow_window_ms;
+    slow_window_ms_ = std::max(slow_window_ms_, fast_window_ms_);
+    if (config.burn_alert > 0) burn_alert_ = config.burn_alert;
+  }
+
+  std::vector<SloAlert> Record(int priority, double finish_ms,
+                               double sojourn_ms, bool shed) {
+    std::vector<SloAlert> raised;
+    const double now = std::max(finish_ms, last_event_ms_);
+    last_event_ms_ = now;
+    for (auto& tracked : tracked_) {
+      if (tracked.objective.priority != priority) continue;
+      if (tracked.alerting) {
+        tracked.alerting = Evaluate(tracked, now).alerting;
+      }
+      const bool good = !shed && sojourn_ms <= tracked.objective.target_ms;
+      tracked.events.push_back({now, good});
+      while (!tracked.events.empty() &&
+             tracked.events.front().at_ms < now - slow_window_ms_) {
+        tracked.events.pop_front();
+      }
+      const SloStatus status = Evaluate(tracked, now);
+      if (status.alerting && !tracked.alerting) {
+        tracked.alerts += 1;
+        tracked.last_alert_ms = now;
+        SloAlert alert{tracked.objective.name, now, status.fast_burn,
+                       status.slow_burn};
+        alert_log_.push_back(alert);
+        raised.push_back(alert);
+      }
+      tracked.alerting = status.alerting;
+    }
+    return raised;
+  }
+
+  std::vector<SloStatus> Snapshot() const {
+    std::vector<SloStatus> statuses;
+    for (const auto& tracked : tracked_) {
+      statuses.push_back(Evaluate(tracked, last_event_ms_));
+    }
+    return statuses;
+  }
+
+  const std::vector<SloAlert>& Alerts() const { return alert_log_; }
+
+ private:
+  struct Event {
+    double at_ms;
+    bool good;
+  };
+  struct Tracked {
+    SloObjective objective;
+    std::deque<Event> events;
+    bool alerting = false;
+    int64_t alerts = 0;
+    double last_alert_ms = -1.0;
+  };
+
+  static void CountWindow(const std::deque<Event>& events, double now_ms,
+                          double window_ms, int64_t* total, int64_t* good) {
+    *total = 0;
+    *good = 0;
+    for (auto it = events.rbegin(); it != events.rend(); ++it) {
+      if (it->at_ms < now_ms - window_ms) break;
+      *total += 1;
+      if (it->good) *good += 1;
+    }
+  }
+
+  SloStatus Evaluate(const Tracked& tracked, double now_ms) const {
+    SloStatus s;
+    s.name = tracked.objective.name;
+    s.priority = tracked.objective.priority;
+    s.target_ms = tracked.objective.target_ms;
+    s.goal = tracked.objective.goal;
+    CountWindow(tracked.events, now_ms, fast_window_ms_, &s.fast_total,
+                &s.fast_good);
+    CountWindow(tracked.events, now_ms, slow_window_ms_, &s.slow_total,
+                &s.slow_good);
+    s.fast_attainment =
+        s.fast_total == 0 ? 1.0
+                          : static_cast<double>(s.fast_good) / s.fast_total;
+    s.slow_attainment =
+        s.slow_total == 0 ? 1.0
+                          : static_cast<double>(s.slow_good) / s.slow_total;
+    double budget = 1.0 - tracked.objective.goal;
+    if (budget <= 0.0) budget = 1e-9;
+    s.fast_burn = (1.0 - s.fast_attainment) / budget;
+    s.slow_burn = (1.0 - s.slow_attainment) / budget;
+    s.alerting = s.fast_burn >= burn_alert_ && s.slow_burn >= burn_alert_;
+    s.alerts = tracked.alerts;
+    s.last_alert_ms = tracked.last_alert_ms;
+    return s;
+  }
+
+  std::vector<Tracked> tracked_;
+  std::vector<SloAlert> alert_log_;
+  double fast_window_ms_ = SloConfig().fast_window_ms;
+  double slow_window_ms_ = SloConfig().slow_window_ms;
+  double burn_alert_ = SloConfig().burn_alert;
+  double last_event_ms_ = 0.0;
+};
+
+::testing::AssertionResult SameAlerts(const std::vector<SloAlert>& got,
+                                      const std::vector<SloAlert>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " alerts, reference " << want.size();
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    const SloAlert& g = got[i];
+    const SloAlert& w = want[i];
+    if (g.objective != w.objective || g.at_ms != w.at_ms ||
+        g.fast_burn != w.fast_burn || g.slow_burn != w.slow_burn) {
+      return ::testing::AssertionFailure()
+             << "alert " << i << ": " << g.objective << "@" << g.at_ms
+             << ", reference " << w.objective << "@" << w.at_ms;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult SameStatuses(const std::vector<SloStatus>& got,
+                                        const std::vector<SloStatus>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " objectives, reference " << want.size();
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    const SloStatus& g = got[i];
+    const SloStatus& w = want[i];
+    if (g.name != w.name || g.priority != w.priority ||
+        g.target_ms != w.target_ms || g.goal != w.goal ||
+        g.fast_total != w.fast_total || g.fast_good != w.fast_good ||
+        g.slow_total != w.slow_total || g.slow_good != w.slow_good ||
+        g.fast_attainment != w.fast_attainment ||
+        g.slow_attainment != w.slow_attainment ||
+        g.fast_burn != w.fast_burn || g.slow_burn != w.slow_burn ||
+        g.alerting != w.alerting || g.alerts != w.alerts ||
+        g.last_alert_ms != w.last_alert_ms) {
+      return ::testing::AssertionFailure()
+             << g.name << ": fast " << g.fast_good << "/" << g.fast_total
+             << " slow " << g.slow_good << "/" << g.slow_total
+             << " alerting " << g.alerting << " alerts " << g.alerts
+             << "; reference " << w.name << ": fast " << w.fast_good << "/"
+             << w.fast_total << " slow " << w.slow_good << "/"
+             << w.slow_total << " alerting " << w.alerting << " alerts "
+             << w.alerts;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(SloEngineTest, RunningCountsMatchTheBackwardScan) {
+  // Random streams over three priorities with sheds, late finishes
+  // (clamped), snapshots, window changes both ways and objective
+  // resets: the running counts must agree with a full re-scan in every
+  // alert each record raises and every field of every snapshot.
+  int64_t alerts = 0, late = 0, grown = 0, shrunk = 0, resets = 0;
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    auto uniform = [&](double lo, double hi) {
+      return std::uniform_real_distribution<double>(lo, hi)(rng);
+    };
+    auto chance = [&](double p) { return uniform(0.0, 1.0) < p; };
+    // Even seeds put every instant and window on a 5 ms grid, so events
+    // land exactly on a window's edge and ties in time are common.
+    auto instant = [&](double lo, double hi) {
+      const double t = uniform(lo, hi);
+      return seed % 2 == 0 ? 5.0 * std::floor(t / 5.0) : t;
+    };
+    SloEngine engine;
+    ScanSloReference reference;
+    double fast = 5000.0, slow = 60000.0;
+    double clock = 0.0;
+    bool breaching = false;
+    for (int step = 0; step < 2000; ++step) {
+      const double op = uniform(0.0, 1.0);
+      if (op < 0.85) {
+        clock += instant(0.0, 40.0);
+        if (chance(0.02)) breaching = !breaching;
+        double finish = clock;
+        if (chance(0.1)) {
+          finish -= instant(0.0, 200.0);  // finalized out of order
+          ++late;
+        }
+        const int priority = static_cast<int>(rng() % 3);
+        const double sojourn =
+            breaching ? uniform(0.0, 3000.0) : uniform(0.0, 60.0);
+        const bool shed = chance(breaching ? 0.2 : 0.01);
+        ASSERT_TRUE(
+            SameAlerts(engine.Record(priority, finish, sojourn, shed),
+                       reference.Record(priority, finish, sojourn, shed)))
+            << "step " << step;
+      } else if (op < 0.93) {
+        clock += instant(0.0, 500.0);  // later instant, no new event
+        ASSERT_TRUE(SameStatuses(engine.Snapshot(), reference.Snapshot()))
+            << "step " << step;
+      } else if (op < 0.99) {
+        SloConfig config;
+        // Non-positive values keep the current window or threshold.
+        config.fast_window_ms = chance(0.1) ? 0.0 : instant(20.0, 2000.0);
+        config.slow_window_ms = chance(0.1) ? -1.0 : instant(20.0, 8000.0);
+        config.burn_alert = chance(0.1) ? 0.0 : uniform(0.5, 5.0);
+        const double new_fast =
+            config.fast_window_ms > 0 ? config.fast_window_ms : fast;
+        const double new_slow = std::max(
+            config.slow_window_ms > 0 ? config.slow_window_ms : slow,
+            new_fast);
+        grown += (new_fast > fast) + (new_slow > slow);
+        shrunk += (new_fast < fast) + (new_slow < slow);
+        fast = new_fast;
+        slow = new_slow;
+        engine.Configure(config);
+        reference.Configure(config);
+      } else {
+        ++resets;
+        if (chance(0.5)) {
+          engine.UseDefaultObjectives();
+          reference.UseDefaultObjectives();
+        } else {
+          // Random ladders, two objectives may share a priority, and a
+          // 100% goal takes the zero-budget path.
+          std::vector<SloObjective> objectives;
+          const int n = 1 + static_cast<int>(rng() % 3);
+          for (int i = 0; i < n; ++i) {
+            objectives.push_back({"o" + std::to_string(i),
+                                  static_cast<int>(rng() % 3),
+                                  uniform(5.0, 1500.0),
+                                  chance(0.1) ? 1.0 : uniform(0.5, 0.999)});
+          }
+          engine.SetObjectives(objectives);
+          reference.SetObjectives(objectives);
+        }
+        clock = 0.0;
+      }
+      // Not after every step, so records also follow a window change
+      // or a long run of records with no snapshot in between.
+      if (chance(0.25)) {
+        ASSERT_TRUE(SameStatuses(engine.Snapshot(), reference.Snapshot()))
+            << "step " << step;
+      }
+    }
+    ASSERT_TRUE(SameAlerts(engine.Alerts(), reference.Alerts()));
+    alerts += static_cast<int64_t>(reference.Alerts().size());
+  }
+  // The streams really exercised what they claim to.
+  EXPECT_GT(alerts, 100);
+  EXPECT_GT(late, 1000);
+  EXPECT_GT(grown, 100);
+  EXPECT_GT(shrunk, 100);
+  EXPECT_GT(resets, 50);
 }
 
 // ---------------------------------------------------------------------------
