@@ -1,6 +1,7 @@
 #include "expr/expr.h"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 
 namespace gisql {
@@ -265,6 +266,82 @@ void SplitConjuncts(const ExprPtr& e, std::vector<ExprPtr>* out) {
     return;
   }
   out->push_back(e);
+}
+
+ColumnRange SargableRange(const ExprPtr& filter,
+                          const std::vector<int64_t>& columns) {
+  std::vector<ExprPtr> conjuncts;
+  SplitConjuncts(filter, &conjuncts);
+  auto tighten_lo = [](ColumnRange* b, const Value& v, bool inclusive) {
+    const int cmp = b->lo.is_null() ? 1 : v.Compare(b->lo);
+    if (cmp > 0) {
+      b->lo = v;
+      b->lo_inclusive = inclusive;
+    } else if (cmp == 0 && !inclusive) {
+      b->lo_inclusive = false;
+    }
+  };
+  auto tighten_hi = [](ColumnRange* b, const Value& v, bool inclusive) {
+    const int cmp = b->hi.is_null() ? -1 : v.Compare(b->hi);
+    if (cmp < 0) {
+      b->hi = v;
+      b->hi_inclusive = inclusive;
+    } else if (cmp == 0 && !inclusive) {
+      b->hi_inclusive = false;
+    }
+  };
+  std::map<int64_t, ColumnRange> by_col;
+  for (const auto& c : conjuncts) {
+    if (c->kind != ExprKind::kCompare) continue;
+    CompareOp op = c->compare_op;
+    const Expr* l = c->children[0].get();
+    const Expr* r = c->children[1].get();
+    if (l->kind == ExprKind::kLiteral && r->kind == ExprKind::kColumn) {
+      std::swap(l, r);
+      op = ReverseCompareOp(op);
+    }
+    if (l->kind != ExprKind::kColumn || r->kind != ExprKind::kLiteral ||
+        r->literal.is_null()) {
+      continue;
+    }
+    const int64_t col = static_cast<int64_t>(l->column_index);
+    if (std::find(columns.begin(), columns.end(), col) == columns.end()) {
+      continue;
+    }
+    ColumnRange& b = by_col[col];
+    b.column = col;
+    switch (op) {
+      case CompareOp::kEq:
+        tighten_lo(&b, r->literal, true);
+        tighten_hi(&b, r->literal, true);
+        break;
+      case CompareOp::kGt:
+        tighten_lo(&b, r->literal, false);
+        break;
+      case CompareOp::kGe:
+        tighten_lo(&b, r->literal, true);
+        break;
+      case CompareOp::kLt:
+        tighten_hi(&b, r->literal, false);
+        break;
+      case CompareOp::kLe:
+        tighten_hi(&b, r->literal, true);
+        break;
+      case CompareOp::kNe:
+        break;
+    }
+  }
+  // Prefer a column bounded on both sides; the map's ordering makes
+  // ties deterministic.
+  const ColumnRange* best = nullptr;
+  for (const auto& [col, b] : by_col) {
+    if (b.lo.is_null() && b.hi.is_null()) continue;
+    const bool both = !b.lo.is_null() && !b.hi.is_null();
+    const bool best_both =
+        best != nullptr && !best->lo.is_null() && !best->hi.is_null();
+    if (best == nullptr || (both && !best_both)) best = &b;
+  }
+  return best != nullptr ? *best : ColumnRange{};
 }
 
 Result<ExprPtr> RemapColumns(const Expr& e,

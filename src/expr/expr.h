@@ -105,6 +105,23 @@ ExprPtr ConjoinAll(std::vector<ExprPtr> conjuncts);
 /// \brief Splits nested ANDs into a conjunct list.
 void SplitConjuncts(const ExprPtr& e, std::vector<ExprPtr>* out);
 
+/// \brief A range of one column's values, the access path of an index
+/// range scan. A NULL bound means unbounded on that side.
+struct ColumnRange {
+  int64_t column = -1;  ///< -1: no sargable conjunct
+  Value lo, hi;
+  bool lo_inclusive = true, hi_inclusive = true;
+};
+
+/// \brief The range `filter`'s sargable conjuncts (col <op> literal,
+/// either operand order, non-NULL literal, op not <>) imply on one of
+/// `columns`: the column bounded on both sides if any, else the lowest
+/// bounded one; column -1 when no conjunct qualifies. Every row the
+/// filter accepts lies in the range, not the converse: callers still
+/// evaluate the whole filter on the rows the range yields.
+ColumnRange SargableRange(const ExprPtr& filter,
+                          const std::vector<int64_t>& columns);
+
 /// \brief Rewrites column indexes through `mapping` (old index → new);
 /// returns a new tree, inputs untouched. Unmapped columns (mapping value
 /// = SIZE_MAX) cause an Internal error.

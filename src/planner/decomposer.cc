@@ -1,7 +1,6 @@
 #include "planner/decomposer.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 namespace gisql {
@@ -546,92 +545,15 @@ void Decomposer::ApplyIndexRangeScans(const PlanNodePtr& root) {
         (*mapping)->stats.ordered_indexed_columns;
     if (indexed.empty()) return;
 
-    // Gather per-column bounds from sargable conjuncts
-    // (col <op> literal, either operand order) on indexed columns. The
-    // whole filter stays on the fragment as the residual, so partial
-    // extraction is always sound.
-    std::vector<ExprPtr> conjuncts;
-    SplitConjuncts(frag.filter, &conjuncts);
-    struct Bounds {
-      Value lo, hi;  ///< null = unbounded
-      bool lo_inclusive = true, hi_inclusive = true;
-    };
-    std::map<int64_t, Bounds> by_col;
-    auto tighten_lo = [](Bounds* b, const Value& v, bool inclusive) {
-      const int cmp = b->lo.is_null() ? 1 : v.Compare(b->lo);
-      if (cmp > 0) {
-        b->lo = v;
-        b->lo_inclusive = inclusive;
-      } else if (cmp == 0 && !inclusive) {
-        b->lo_inclusive = false;
-      }
-    };
-    auto tighten_hi = [](Bounds* b, const Value& v, bool inclusive) {
-      const int cmp = b->hi.is_null() ? -1 : v.Compare(b->hi);
-      if (cmp < 0) {
-        b->hi = v;
-        b->hi_inclusive = inclusive;
-      } else if (cmp == 0 && !inclusive) {
-        b->hi_inclusive = false;
-      }
-    };
-    for (const auto& c : conjuncts) {
-      if (c->kind != ExprKind::kCompare) continue;
-      CompareOp op = c->compare_op;
-      const Expr* l = c->children[0].get();
-      const Expr* r = c->children[1].get();
-      if (l->kind == ExprKind::kLiteral && r->kind == ExprKind::kColumn) {
-        std::swap(l, r);
-        op = ReverseCompareOp(op);
-      }
-      if (l->kind != ExprKind::kColumn || r->kind != ExprKind::kLiteral ||
-          r->literal.is_null()) {
-        continue;
-      }
-      const int64_t col = static_cast<int64_t>(l->column_index);
-      if (std::find(indexed.begin(), indexed.end(), col) == indexed.end()) {
-        continue;
-      }
-      Bounds& b = by_col[col];
-      switch (op) {
-        case CompareOp::kEq:
-          tighten_lo(&b, r->literal, true);
-          tighten_hi(&b, r->literal, true);
-          break;
-        case CompareOp::kGt:
-          tighten_lo(&b, r->literal, false);
-          break;
-        case CompareOp::kGe:
-          tighten_lo(&b, r->literal, true);
-          break;
-        case CompareOp::kLt:
-          tighten_hi(&b, r->literal, false);
-          break;
-        case CompareOp::kLe:
-          tighten_hi(&b, r->literal, true);
-          break;
-        case CompareOp::kNe:
-          break;
-      }
-    }
-    // Prefer a column bounded on both sides; the map's ordering makes
-    // ties deterministic.
-    const std::pair<const int64_t, Bounds>* best = nullptr;
-    for (const auto& entry : by_col) {
-      if (entry.second.lo.is_null() && entry.second.hi.is_null()) continue;
-      const bool both =
-          !entry.second.lo.is_null() && !entry.second.hi.is_null();
-      const bool best_both =
-          best != nullptr && !best->second.lo.is_null() &&
-          !best->second.hi.is_null();
-      if (best == nullptr || (both && !best_both)) best = &entry;
-    }
-    if (best == nullptr) return;
-    frag.index_column = best->first;
-    frag.range_lo = best->second.lo;
-    frag.range_hi = best->second.hi;
-    frag.range_lo_inclusive = best->second.lo_inclusive;
-    frag.range_hi_inclusive = best->second.hi_inclusive;
+    // The whole filter stays on the fragment as the residual, so a
+    // range implied by some of its conjuncts is always sound.
+    const ColumnRange range = SargableRange(frag.filter, indexed);
+    if (range.column < 0) return;
+    frag.index_column = range.column;
+    frag.range_lo = range.lo;
+    frag.range_hi = range.hi;
+    frag.range_lo_inclusive = range.lo_inclusive;
+    frag.range_hi_inclusive = range.hi_inclusive;
   });
 }
 

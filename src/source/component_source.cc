@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 #include <unordered_set>
 
 #include "common/hash.h"
@@ -191,6 +192,33 @@ bool RowInAccessPath(const FragmentPlan& frag, const Row& row) {
   return true;  // full scan sees everything
 }
 
+/// The rows a DELETE predicate can match at `snapshot_ts`, read from an
+/// already-built ordered index on a column its sargable conjuncts
+/// bound: the visible candidate rids, ascending. nullopt sends the
+/// caller to a full scan: no predicate, no usable ordered index (an
+/// unbuilt one would cost that scan to build; a hash-only table keeps
+/// the scan), or more candidates than the heap has pages (one page
+/// read each, so the scan is no dearer).
+std::optional<std::vector<size_t>> IndexedDeleteCandidates(
+    Table& table, const ExprPtr& pred, uint64_t snapshot_ts) {
+  if (pred == nullptr) return std::nullopt;
+  const ColumnRange range =
+      SargableRange(pred, table.OrderedIndexedColumns());
+  if (range.column < 0) return std::nullopt;
+  OrderedIndex* ordered = table.GetOrderedIndex(
+      static_cast<size_t>(range.column), /*build=*/false);
+  if (ordered == nullptr) return std::nullopt;
+  std::vector<size_t> rids = ordered->Range(
+      range.lo, range.lo_inclusive, range.hi, range.hi_inclusive);
+  std::sort(rids.begin(), rids.end());
+  std::erase_if(rids,
+                [&](size_t rid) { return !table.VisibleAt(rid, snapshot_ts); });
+  if (static_cast<int64_t>(rids.size()) > table.num_pages()) {
+    return std::nullopt;
+  }
+  return rids;
+}
+
 }  // namespace
 
 const ComponentSource::StagedTxn* ComponentSource::FindStagedByNumericId(
@@ -283,7 +311,9 @@ Result<RowBatch> ComponentSource::ExecuteFragment(const FragmentPlan& frag,
     if (index == nullptr) {
       return Status::InvalidArgument(
           "fragment requests an index range scan on column ", col,
-          " of table '", frag.table, "', which has no ordered index");
+          " of table '", frag.table,
+          "', which has no ordered index, or whose pool could not read "
+          "every page to build it");
     }
     const std::vector<size_t> rids =
         index->Range(frag.range_lo, frag.range_lo_inclusive, frag.range_hi,
@@ -357,7 +387,8 @@ Result<RowBatch> ComponentSource::ExecuteFragment(const FragmentPlan& frag,
       return Status::InvalidArgument(
           "fragment requests an index-nested-loop join probing column ",
           frag.join_inner_column, " of table '", frag.join_table,
-          "', which has no index");
+          "', which has no index, or whose pool could not read every page "
+          "to build one");
     }
     std::vector<Row> joined;
     for (const Row& outer_row : rows.rows()) {
@@ -528,8 +559,7 @@ Result<ComponentSource::TxnPrepareResult> ComponentSource::PrepareTxnAt(
     }
     staged.table = table;
     std::vector<Value> keys;
-    GISQL_RETURN_NOT_OK(table->Scan([&](size_t rid, const Row& row) {
-      if (!table->VisibleAt(rid, snapshot_ts)) return Status::OK();
+    auto stage_if_match = [&](size_t rid, const Row& row) -> Status {
       bool match = true;
       if (pred != nullptr) {
         GISQL_ASSIGN_OR_RETURN(match, EvalPredicate(*pred, row));
@@ -539,7 +569,23 @@ Result<ComponentSource::TxnPrepareResult> ComponentSource::PrepareTxnAt(
         keys.push_back(row.empty() ? Value::Int(0) : row[0]);
       }
       return Status::OK();
-    }));
+    };
+    // Either access path stages the same rids in the same ascending
+    // order: the index only narrows which visible rows the whole
+    // predicate is evaluated on.
+    const std::optional<std::vector<size_t>> candidates =
+        IndexedDeleteCandidates(*table, pred, snapshot_ts);
+    if (candidates.has_value()) {
+      for (size_t rid : *candidates) {
+        GISQL_ASSIGN_OR_RETURN(Row row, table->GetRow(rid));
+        GISQL_RETURN_NOT_OK(stage_if_match(rid, row));
+      }
+    } else {
+      GISQL_RETURN_NOT_OK(table->Scan([&](size_t rid, const Row& row) {
+        if (!table->VisibleAt(rid, snapshot_ts)) return Status::OK();
+        return stage_if_match(rid, row);
+      }));
+    }
     // First committer wins: a row visible in our snapshot but already
     // ended at latest was deleted by a transaction that committed after
     // we began — retrying cannot help, the transaction must abort.
@@ -616,13 +662,11 @@ int64_t ComponentSource::GcToWatermark(uint64_t watermark) {
     }
   }
   int64_t total = 0;
-  for (const auto& table_name : engine_.TableNames()) {
-    Result<TablePtr> table = engine_.GetTable(table_name);
-    if (!table.ok()) continue;
-    if (pinned.count(table->get())) continue;
-    Result<int64_t> removed = (*table)->GcToWatermark(watermark);
+  engine_.ForEachTable([&](Table& table) {
+    if (pinned.count(&table)) return;
+    Result<int64_t> removed = table.GcToWatermark(watermark);
     if (removed.ok()) total += *removed;
-  }
+  });
   return total;
 }
 

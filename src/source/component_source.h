@@ -135,6 +135,17 @@ class ComponentSource : public RpcHandler {
     for (const auto& [id, txn] : staged_) ids.push_back(id);
     return ids;
   }
+  /// \brief Heap row ids `txn_id` has staged for deletion, in statement
+  /// order (tests/monitoring).
+  std::vector<size_t> staged_delete_rids(const std::string& txn_id) const {
+    std::vector<size_t> rids;
+    auto it = staged_.find(txn_id);
+    if (it == staged_.end()) return rids;
+    for (const auto& w : it->second.writes) {
+      rids.insert(rids.end(), w.delete_rids.begin(), w.delete_rids.end());
+    }
+    return rids;
+  }
   /// @}
 
   /// \name Snapshot persistence

@@ -11,19 +11,18 @@ bool ValueLess(const Value& a, const Value& b) { return a.Compare(b) < 0; }
 struct BPlusTree::Node {
   bool is_leaf;
   InternalNode* parent = nullptr;
+  std::vector<Value> keys;  ///< entry keys in a leaf, separators above
   explicit Node(bool leaf) : is_leaf(leaf) {}
   virtual ~Node() = default;
 };
 
 struct BPlusTree::LeafNode : Node {
-  std::vector<Value> keys;
   std::vector<size_t> rids;
   LeafNode* next = nullptr;
   LeafNode() : Node(true) {}
 };
 
 struct BPlusTree::InternalNode : Node {
-  std::vector<Value> keys;        ///< separators
   std::vector<Node*> children;    ///< keys.size() + 1 entries
   InternalNode() : Node(false) {}
 };
@@ -46,6 +45,24 @@ void BPlusTree::Clear() {
   root_ = nullptr;
   size_ = 0;
   height_ = 0;
+}
+
+BPlusTree::LeafNode* BPlusTree::FirstLeafFor(const Value& lo) const {
+  // With duplicate runs possibly spanning a separator, lower_bound
+  // routing lands left of any equal separator, guaranteeing no equal
+  // key to the left is missed.
+  Node* node = root_;
+  while (node != nullptr && !node->is_leaf) {
+    auto* internal = static_cast<InternalNode*>(node);
+    size_t idx = 0;
+    if (!lo.is_null()) {
+      idx = std::lower_bound(internal->keys.begin(), internal->keys.end(),
+                             lo, ValueLess) -
+            internal->keys.begin();
+    }
+    node = internal->children[idx];
+  }
+  return static_cast<LeafNode*>(node);
 }
 
 BPlusTree::LeafNode* BPlusTree::FindLeaf(const Value& key) const {
@@ -76,10 +93,11 @@ void BPlusTree::InsertIntoParent(Node* node, Value separator,
     ++height_;
     return;
   }
+  // The sibling goes right after `node`. Locate it by pointer: with
+  // duplicates, `separator` may equal the separator to its right.
   const size_t pos =
-      std::upper_bound(parent->keys.begin(), parent->keys.end(), separator,
-                       ValueLess) -
-      parent->keys.begin();
+      std::find(parent->children.begin(), parent->children.end(), node) -
+      parent->children.begin();
   parent->keys.insert(parent->keys.begin() + pos, std::move(separator));
   parent->children.insert(parent->children.begin() + pos + 1, sibling);
   sibling->parent = parent;
@@ -140,28 +158,141 @@ std::vector<size_t> BPlusTree::Lookup(const Value& key) const {
   return Range(key, true, key, true);
 }
 
+Status BPlusTree::Erase(const Value& key, size_t row_id) {
+  // Walk `key`'s duplicate run along the leaf chain from the leftmost
+  // leaf that can hold it.
+  LeafNode* leaf = key.is_null() ? nullptr : FirstLeafFor(key);
+  size_t i = leaf == nullptr ? 0
+                             : std::lower_bound(leaf->keys.begin(),
+                                                leaf->keys.end(), key,
+                                                ValueLess) -
+                                   leaf->keys.begin();
+  for (; leaf != nullptr; leaf = leaf->next, i = 0) {
+    for (; i < leaf->keys.size() && leaf->keys[i].Compare(key) == 0; ++i) {
+      if (leaf->rids[i] != row_id) continue;
+      leaf->keys.erase(leaf->keys.begin() + i);
+      leaf->rids.erase(leaf->rids.begin() + i);
+      --size_;
+      Rebalance(leaf);
+      return Status::OK();
+    }
+    if (i < leaf->keys.size()) break;  // past the run
+  }
+  return Status::NotFound("no index entry (", key.ToString(), ", ", row_id,
+                          ")");
+}
+
+void BPlusTree::Rebalance(Node* node) {
+  if (node == root_) {
+    if (!node->keys.empty()) return;
+    if (node->is_leaf) {
+      root_ = nullptr;
+      height_ = 0;
+    } else {
+      // A root left with a single child hands the root to it.
+      auto* internal = static_cast<InternalNode*>(node);
+      root_ = internal->children.front();
+      root_->parent = nullptr;
+      internal->children.clear();
+      --height_;
+    }
+    delete node;
+    return;
+  }
+  if (node->keys.size() >= MinKeys()) return;
+
+  InternalNode* parent = node->parent;
+  const size_t idx =
+      std::find(parent->children.begin(), parent->children.end(), node) -
+      parent->children.begin();
+  Node* left = idx > 0 ? parent->children[idx - 1] : nullptr;
+  Node* right =
+      idx + 1 < parent->children.size() ? parent->children[idx + 1] : nullptr;
+
+  // Borrow one entry through the parent separator from a sibling that
+  // can spare it; the separator becomes the new boundary key.
+  if (left != nullptr && left->keys.size() > MinKeys()) {
+    if (node->is_leaf) {
+      auto* l = static_cast<LeafNode*>(left);
+      auto* n = static_cast<LeafNode*>(node);
+      n->keys.insert(n->keys.begin(), std::move(l->keys.back()));
+      n->rids.insert(n->rids.begin(), l->rids.back());
+      l->keys.pop_back();
+      l->rids.pop_back();
+      parent->keys[idx - 1] = n->keys.front();
+    } else {
+      auto* l = static_cast<InternalNode*>(left);
+      auto* n = static_cast<InternalNode*>(node);
+      n->keys.insert(n->keys.begin(), std::move(parent->keys[idx - 1]));
+      n->children.insert(n->children.begin(), l->children.back());
+      n->children.front()->parent = n;
+      parent->keys[idx - 1] = std::move(l->keys.back());
+      l->keys.pop_back();
+      l->children.pop_back();
+    }
+    return;
+  }
+  if (right != nullptr && right->keys.size() > MinKeys()) {
+    if (node->is_leaf) {
+      auto* r = static_cast<LeafNode*>(right);
+      auto* n = static_cast<LeafNode*>(node);
+      n->keys.push_back(std::move(r->keys.front()));
+      n->rids.push_back(r->rids.front());
+      r->keys.erase(r->keys.begin());
+      r->rids.erase(r->rids.begin());
+      parent->keys[idx] = r->keys.front();
+    } else {
+      auto* r = static_cast<InternalNode*>(right);
+      auto* n = static_cast<InternalNode*>(node);
+      n->keys.push_back(std::move(parent->keys[idx]));
+      n->children.push_back(r->children.front());
+      n->children.back()->parent = n;
+      parent->keys[idx] = std::move(r->keys.front());
+      r->keys.erase(r->keys.begin());
+      r->children.erase(r->children.begin());
+    }
+    return;
+  }
+
+  // Neither sibling can spare an entry: fold the right node of the
+  // pair into the left one (the result fits: at most 2 * MinKeys()
+  // keys), drop their separator, and fix the parent in turn.
+  const size_t li = left != nullptr ? idx - 1 : idx;
+  Node* l = parent->children[li];
+  Node* r = parent->children[li + 1];
+  if (l->is_leaf) {
+    auto* ll = static_cast<LeafNode*>(l);
+    auto* rl = static_cast<LeafNode*>(r);
+    ll->keys.insert(ll->keys.end(), std::make_move_iterator(rl->keys.begin()),
+                    std::make_move_iterator(rl->keys.end()));
+    ll->rids.insert(ll->rids.end(), rl->rids.begin(), rl->rids.end());
+    ll->next = rl->next;
+  } else {
+    auto* li_node = static_cast<InternalNode*>(l);
+    auto* ri_node = static_cast<InternalNode*>(r);
+    li_node->keys.push_back(std::move(parent->keys[li]));
+    li_node->keys.insert(li_node->keys.end(),
+                         std::make_move_iterator(ri_node->keys.begin()),
+                         std::make_move_iterator(ri_node->keys.end()));
+    for (Node* c : ri_node->children) c->parent = li_node;
+    li_node->children.insert(li_node->children.end(),
+                             ri_node->children.begin(),
+                             ri_node->children.end());
+    ri_node->children.clear();
+  }
+  parent->keys.erase(parent->keys.begin() + li);
+  parent->children.erase(parent->children.begin() + li + 1);
+  delete r;
+  Rebalance(parent);
+}
+
 std::vector<size_t> BPlusTree::Range(const Value& lo, bool lo_inclusive,
                                      const Value& hi,
                                      bool hi_inclusive) const {
   std::vector<size_t> out;
   if (root_ == nullptr) return out;
 
-  // Descend to the leftmost leaf that can contain a key ≥ lo. With
-  // duplicate runs possibly spanning a separator, lower_bound routing
-  // lands left of any equal separator, guaranteeing no equal key to the
-  // left is missed.
-  Node* node = root_;
-  while (!node->is_leaf) {
-    auto* internal = static_cast<InternalNode*>(node);
-    size_t idx = 0;
-    if (!lo.is_null()) {
-      idx = std::lower_bound(internal->keys.begin(), internal->keys.end(),
-                             lo, ValueLess) -
-            internal->keys.begin();
-    }
-    node = internal->children[idx];
-  }
-  for (auto* leaf = static_cast<LeafNode*>(node); leaf != nullptr;
+  for (LeafNode* leaf = FirstLeafFor(lo); leaf != nullptr;
        leaf = leaf->next) {
     for (size_t i = 0; i < leaf->keys.size(); ++i) {
       const Value& k = leaf->keys[i];

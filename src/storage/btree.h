@@ -3,9 +3,9 @@
 /// ordered-index structure of the component-system storage engine.
 ///
 /// Duplicate keys are allowed (secondary-index semantics). Leaves are
-/// linked for range scans. The tree is insert-only: tables rebuild
-/// their indexes after deletions, matching the engine's
-/// rebuild-on-write index policy.
+/// linked for range scans. Tables maintain the tree incrementally:
+/// appended rows are inserted, and heap compaction erases the entries
+/// of the rows it rewrites and re-inserts them under their new ids.
 
 #pragma once
 
@@ -34,6 +34,11 @@ class BPlusTree {
   /// order among duplicates.
   std::vector<size_t> Lookup(const Value& key) const;
 
+  /// \brief Removes the (key, row id) entry, rebalancing underfull
+  /// nodes by borrowing from or merging with a sibling. NotFound when
+  /// the pair is absent.
+  Status Erase(const Value& key, size_t row_id);
+
   /// \brief Row ids with lo ≤/< key ≤/< hi, in key order. A NULL bound
   /// means unbounded on that side.
   std::vector<size_t> Range(const Value& lo, bool lo_inclusive,
@@ -58,9 +63,17 @@ class BPlusTree {
   struct InternalNode;
 
   LeafNode* FindLeaf(const Value& key) const;
+  /// The leftmost leaf that can hold a key >= `lo` (NULL: the first
+  /// leaf); nullptr for an empty tree.
+  LeafNode* FirstLeafFor(const Value& lo) const;
   /// Splits `leaf` and returns the (separator, new node) to insert into
   /// the parent.
   void InsertIntoParent(Node* node, Value separator, Node* sibling);
+  /// Restores the fill factor of `node` after an erase, recursing up
+  /// through parents that a merge leaves underfull.
+  void Rebalance(Node* node);
+  /// Smallest key count Validate() accepts for a non-root node.
+  size_t MinKeys() const { return static_cast<size_t>(fanout_ / 3); }
 
   Status ValidateNode(const Node* node, const Value* lo,
                       const Value* hi, int depth) const;

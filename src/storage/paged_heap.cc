@@ -21,16 +21,26 @@ void EncodeRow(ByteWriter* w, const Row& row) {
 PagedHeap::PagedHeap(BufferPoolPtr pool, SchemaPtr schema)
     : pool_(std::move(pool)), schema_(std::move(schema)) {}
 
-PagedHeap::~PagedHeap() { DropAllPages(); }
+PagedHeap::~PagedHeap() { DropPagesFrom(0); }
 
-void PagedHeap::DropAllPages() {
-  for (uint64_t page_id : page_ids_) pool_->DeletePage(page_id);
-  page_ids_.clear();
-  page_row_counts_.clear();
-  page_first_rid_.clear();
-  total_rows_ = 0;
+void PagedHeap::DropPagesFrom(size_t first_page) {
+  if (first_page >= page_ids_.size()) return;
+  for (size_t p = first_page; p < page_ids_.size(); ++p) {
+    pool_->DeletePage(page_ids_[p]);
+  }
+  total_rows_ = static_cast<int64_t>(page_first_rid_[first_page]);
+  page_ids_.resize(first_page);
+  page_row_counts_.resize(first_page);
+  page_first_rid_.resize(first_page);
   memo_valid_ = false;
   ++epoch_;
+}
+
+size_t PagedHeap::PageOf(size_t rid) const {
+  // Last page whose first rid is <= rid.
+  auto it = std::upper_bound(page_first_rid_.begin(), page_first_rid_.end(),
+                             rid);
+  return static_cast<size_t>(it - page_first_rid_.begin()) - 1;
 }
 
 Result<size_t> PagedHeap::Append(const Row& row) {
@@ -117,18 +127,15 @@ Result<Row> PagedHeap::Get(size_t rid) {
     return Status::InvalidArgument("row id ", rid, " out of range (",
                                    total_rows_, " rows)");
   }
-  // Last page whose first rid is <= rid.
-  auto it = std::upper_bound(page_first_rid_.begin(), page_first_rid_.end(),
-                             rid);
-  const size_t page_index =
-      static_cast<size_t>(it - page_first_rid_.begin()) - 1;
+  const size_t page_index = PageOf(rid);
   GISQL_ASSIGN_OR_RETURN(const std::vector<Row>* rows, PageRows(page_index));
   return (*rows)[rid - page_first_rid_[page_index]];
 }
 
 Status PagedHeap::Scan(
-    const std::function<Status(size_t rid, const Row& row)>& fn) {
-  for (size_t p = 0; p < page_ids_.size(); ++p) {
+    const std::function<Status(size_t rid, const Row& row)>& fn,
+    size_t first_page) {
+  for (size_t p = first_page; p < page_ids_.size(); ++p) {
     GISQL_ASSIGN_OR_RETURN(const std::vector<Row>* rows, PageRows(p));
     const size_t first = page_first_rid_[p];
     for (size_t i = 0; i < rows->size(); ++i) {
@@ -136,11 +143,6 @@ Status PagedHeap::Scan(
     }
   }
   return Status::OK();
-}
-
-Status PagedHeap::Replace(const std::vector<Row>& rows) {
-  DropAllPages();
-  return AppendBatch(rows);
 }
 
 }  // namespace gisql

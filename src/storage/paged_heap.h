@@ -5,8 +5,12 @@
 /// in-memory page directory (page ids + per-page row counts) maps a
 /// row id to its (page, slot). Every access goes through the buffer
 /// pool, so point reads and scans charge honest page hits/misses and
-/// virtual disk time. The heap is append-oriented: deletions rebuild
-/// the file (Replace), matching the engine's rebuild-on-write policy.
+/// virtual disk time. The heap is append-oriented: a row goes to the
+/// tail page if it fits, else to a new page. That greedy packing is
+/// prefix-stable, so a deletion truncates the file at a page boundary
+/// (DropPagesFrom) and re-appends the surviving rows after it (the
+/// first of them top up the new tail page), and gets exactly the pages
+/// a rebuild of the whole file would.
 
 #pragma once
 
@@ -40,12 +44,23 @@ class PagedHeap {
   /// \brief Point read of row `rid` through the buffer pool.
   Result<Row> Get(size_t rid);
 
-  /// \brief Full scan in row-id order, one page pin per page. The
-  /// callback may return a non-OK status to stop the scan.
-  Status Scan(const std::function<Status(size_t rid, const Row& row)>& fn);
+  /// \brief Scan in row-id order from page `first_page` to the end of
+  /// the file, one page pin per page. The callback may return a non-OK
+  /// status to stop the scan.
+  Status Scan(const std::function<Status(size_t rid, const Row& row)>& fn,
+              size_t first_page = 0);
 
-  /// \brief Replaces the whole file contents (delete-rebuild path).
-  Status Replace(const std::vector<Row>& rows);
+  /// \brief Deletes pages `first_page`.. and the rows on them; the rows
+  /// before page_first_rid(first_page) keep their ids.
+  void DropPagesFrom(size_t first_page);
+
+  /// \brief Index of the page holding row `rid` (< num_rows()).
+  size_t PageOf(size_t rid) const;
+
+  /// \brief Row id of the first row on page `page_index`.
+  size_t page_first_rid(size_t page_index) const {
+    return page_first_rid_[page_index];
+  }
 
   int64_t num_rows() const { return total_rows_; }
   int64_t num_pages() const { return static_cast<int64_t>(page_ids_.size()); }
@@ -59,8 +74,6 @@ class PagedHeap {
   /// — with a one-page decode memo so consecutive probes of the same
   /// page skip the re-decode CPU, never the pool accounting.
   Result<const std::vector<Row>*> PageRows(size_t page_index);
-
-  void DropAllPages();
 
   BufferPoolPtr pool_;
   SchemaPtr schema_;

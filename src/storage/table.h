@@ -4,13 +4,18 @@
 ///
 /// Rows live in buffer-pool pages (storage/paged_heap.h), so every
 /// access — point read, scan, index build — charges page hits/misses
-/// and virtual disk time. Indexes map values to row ids and are rebuilt
-/// lazily after writes; row ids are positions in the heap file.
+/// and virtual disk time. Row ids are positions in the heap file.
+/// Indexes map values to row ids. Each is built from a full scan on
+/// first use and from then on maintained incrementally: appends add
+/// their rows, and a compaction (GC or DELETE) re-keys only the rows on
+/// the pages it rewrites. A delete that only ends a version leaves them
+/// alone; readers re-check visibility.
 
 #pragma once
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -41,7 +46,7 @@ struct RowVersion {
   uint64_t end_ts = kMaxTimestamp;
 };
 
-/// \brief Equality index: value → row ids. Rebuilt lazily after writes.
+/// \brief Equality index: value → row ids, ascending per value.
 class HashIndex {
  public:
   explicit HashIndex(size_t column) : column_(column) {}
@@ -50,10 +55,20 @@ class HashIndex {
 
   void Build(const std::vector<Row>& rows);
 
+  /// \brief Indexes heap row `rid` (rids arrive in ascending order).
+  void Add(const Row& row, size_t rid);
+
+  /// \brief Drops heap row `rid`'s entry.
+  void Remove(const Row& row, size_t rid);
+
   /// \brief Row ids whose indexed column equals `key` (never NULL rows).
   const std::vector<size_t>& Lookup(const Value& key) const;
 
+  /// \brief Heap rows the index covers.
   size_t built_row_count() const { return built_row_count_; }
+
+  /// \brief False until the first Build.
+  bool built() const { return built_; }
 
  private:
   struct ValueHash {
@@ -66,6 +81,7 @@ class HashIndex {
   };
   size_t column_;
   size_t built_row_count_ = 0;
+  bool built_ = false;
   std::unordered_map<Value, std::vector<size_t>, ValueHash, ValueEq> map_;
 };
 
@@ -78,12 +94,22 @@ class OrderedIndex {
 
   void Build(const std::vector<Row>& rows);
 
+  /// \brief Indexes heap row `rid` (rids arrive in ascending order).
+  void Add(const Row& row, size_t rid);
+
+  /// \brief Drops heap row `rid`'s entry.
+  void Remove(const Row& row, size_t rid);
+
   /// \brief Row ids with lo <= col <= hi (either bound may be NULL =
   /// unbounded); `lo_inclusive` / `hi_inclusive` control openness.
   std::vector<size_t> Range(const Value& lo, bool lo_inclusive,
                             const Value& hi, bool hi_inclusive) const;
 
+  /// \brief Heap rows the index covers.
   size_t built_row_count() const { return built_row_count_; }
+
+  /// \brief False until the first Build.
+  bool built() const { return built_; }
 
   /// \brief The underlying tree (exposed for invariant checks in tests).
   const BPlusTree& tree() const { return tree_; }
@@ -91,6 +117,7 @@ class OrderedIndex {
  private:
   size_t column_;
   size_t built_row_count_ = 0;
+  bool built_ = false;
   BPlusTree tree_;
 };
 
@@ -105,6 +132,9 @@ class Table {
   const std::string& name() const { return name_; }
   const SchemaPtr& schema() const { return schema_; }
   int64_t num_rows() const { return heap_.num_rows(); }
+  int64_t num_pages() const { return heap_.num_pages(); }
+  /// \brief The heap file (tests: page layout).
+  const PagedHeap& heap() const { return heap_; }
 
   /// \brief Materializes every row through the buffer pool (charging
   /// page accesses). Best-effort: an out-of-budget pool yields the
@@ -125,7 +155,8 @@ class Table {
   Result<Row> ValidateRow(Row row) const;
 
   /// \brief Validates arity and types (applying implicit casts), then
-  /// appends. Invalidates indexes and cached statistics.
+  /// appends. Built indexes take the new row; cached statistics go
+  /// stale.
   Status Insert(Row row);
 
   /// \brief Bulk append without per-row type validation (trusted loader
@@ -134,6 +165,8 @@ class Table {
   Status InsertUnchecked(std::vector<Row> rows);
 
   /// \brief Deletes rows matching `predicate`; returns count removed.
+  /// Evaluates the predicate on every row, then compacts like
+  /// GcToWatermark.
   Result<int64_t> Delete(const Expr& predicate);
 
   /// \name MVCC version metadata
@@ -151,9 +184,10 @@ class Table {
   Status InsertVersioned(std::vector<Row> rows, uint64_t begin_ts);
 
   /// \brief Ends row `rid`'s lifetime at `end_ts` (a committed
-  /// transactional DELETE). The row stays in the heap until watermark
-  /// GC; indexes still map to it, so readers re-check visibility.
-  /// First committer wins: an already-dead row is left untouched.
+  /// transactional DELETE). The row and its index entries stay until
+  /// watermark GC compacts it away, so index readers re-check
+  /// visibility. First committer wins: an already-dead row is left
+  /// untouched.
   void MarkDeleted(size_t rid, uint64_t end_ts);
 
   /// \brief True when row `rid` is visible at `snapshot_ts`.
@@ -166,8 +200,8 @@ class Table {
 
   /// \brief Physically removes versions dead at or before `watermark`
   /// (no present or future snapshot can see them); returns the count
-  /// reclaimed. A table with no such version returns 0 without
-  /// touching any page.
+  /// reclaimed. A table with no such version returns 0 in O(1),
+  /// without touching any page.
   Result<int64_t> GcToWatermark(uint64_t watermark);
   /// @}
 
@@ -177,11 +211,14 @@ class Table {
   /// \brief Declares an ordered index on `column` (built lazily).
   Status CreateOrderedIndex(size_t column);
 
-  /// \brief The hash index on `column`, freshly built, or nullptr.
-  HashIndex* GetHashIndex(size_t column);
+  /// \brief The hash index on `column`, or nullptr when none is
+  /// declared. An index never built is built from a full scan; nullptr
+  /// when the pool cannot read every page (the index stays unbuilt and
+  /// the next call retries), or when `build` is false.
+  HashIndex* GetHashIndex(size_t column, bool build = true);
 
-  /// \brief The ordered index on `column`, freshly built, or nullptr.
-  OrderedIndex* GetOrderedIndex(size_t column);
+  /// \brief The ordered index on `column`; `build` as for GetHashIndex.
+  OrderedIndex* GetOrderedIndex(size_t column, bool build = true);
 
   /// \brief Columns with a declared hash / ordered index (sorted).
   std::vector<int64_t> HashIndexedColumns() const;
@@ -194,22 +231,45 @@ class Table {
   BufferPoolManager& pool() { return *pool_; }
 
  private:
-  /// Grows versions_ with {begin_ts, live} entries to match the heap
-  /// after an append.
-  void SyncVersions(uint64_t begin_ts);
+  /// Appends `rows` stamped with begin_ts: heap, versions and every
+  /// built index.
+  Status Append(const std::vector<Row>& rows, uint64_t begin_ts);
+
+  /// Calls `fn` on every built hash and ordered index.
+  template <typename Fn>
+  void ForEachBuiltIndex(Fn&& fn);
+
+  /// Adds / drops heap rows first_rid.. (`rows`, in rid order) in every
+  /// built index.
+  void IndexRows(std::span<const Row> rows, size_t first_rid);
+  void UnindexRows(std::span<const Row> rows, size_t first_rid);
+
+  /// Physically removes the rows `doomed` lists (ascending). Greedy
+  /// page packing is prefix-stable, so only the pages from the first
+  /// doomed row's page on are rewritten: rows before them keep their
+  /// ids and index entries, and the file ends up page for page as a
+  /// rebuild of the whole heap would leave it.
+  Result<int64_t> Compact(const std::vector<size_t>& doomed);
+
+  /// Recomputes first_dead_rid_ and min_dead_end_ts_ from rid `from`
+  /// on (every row before it is live).
+  void RescanDead(size_t from);
 
   std::string name_;
   SchemaPtr schema_;
   BufferPoolPtr pool_;
   PagedHeap heap_;
   /// Heap-parallel MVCC lifetimes: versions_[rid] belongs to heap row
-  /// rid. Rebuilt in lockstep whenever the heap is compacted.
+  /// rid. Compaction shifts them in lockstep with the heap.
   std::vector<RowVersion> versions_;
-  uint64_t epoch_ = 0;  ///< bumped on every write
+  /// Every row below first_dead_rid_ is live; min_dead_end_ts_ is the
+  /// earliest end_ts among ended versions (kMaxTimestamp if none). GC
+  /// reads versions, from first_dead_rid_ on, only once the watermark
+  /// has reached min_dead_end_ts_.
+  size_t first_dead_rid_ = 0;
+  uint64_t min_dead_end_ts_ = kMaxTimestamp;
   std::vector<std::unique_ptr<HashIndex>> hash_indexes_;
-  std::vector<uint64_t> hash_epochs_;
   std::vector<std::unique_ptr<OrderedIndex>> ordered_indexes_;
-  std::vector<uint64_t> ordered_epochs_;
   TableStats stats_;
   bool stats_valid_ = false;
 };
@@ -231,14 +291,20 @@ class StorageEngine {
 
   Status DropTable(const std::string& name);
 
+  /// \brief Table names, sorted.
   std::vector<std::string> TableNames() const;
+
+  /// \brief Calls `fn` on every table, in order of lower-cased name.
+  void ForEachTable(const std::function<void(Table&)>& fn) const {
+    for (const auto& [key, table] : tables_) fn(*table);
+  }
 
   BufferPoolManager& pool() { return *pool_; }
   const BufferPoolManager& pool() const { return *pool_; }
 
  private:
   BufferPoolPtr pool_;
-  std::unordered_map<std::string, TablePtr> tables_;
+  std::map<std::string, TablePtr> tables_;  ///< by lower-cased name
 };
 
 }  // namespace gisql
